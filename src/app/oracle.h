@@ -14,10 +14,10 @@
 // server that lost its duplicate filter MAY re-execute -- the oracle reports
 // it, and pure-crash plans (no message loss) must still show zero.
 //
-// Thread-safety: recording methods take a mutex because under the parallel
-// engine the client and server run on different logical processes. All
-// bookkeeping is content-addressed by call id, so totals are deterministic
-// and engine-invariant regardless of interleaving.
+// Thread-safety: recording methods take a mutex, so one oracle may be read
+// and written from more than one host thread (bench_suite runs jobs on a
+// thread pool). All bookkeeping is content-addressed by call id, so totals
+// are deterministic regardless of recording order.
 
 #ifndef XK_SRC_APP_ORACLE_H_
 #define XK_SRC_APP_ORACLE_H_

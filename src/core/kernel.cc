@@ -62,9 +62,9 @@ void Kernel::Crash() {
 }
 
 void Kernel::Restart() {
-  // A plain increment rather than EventQueue::AllocateBootId(): under the
-  // parallel engine each host has its own queue, so a shared allocator would
-  // hand out different ids than the serial engine's single queue does.
+  // A plain increment rather than EventQueue::AllocateBootId(): a restart
+  // must not consume an id from the queue's counter, or every kernel built
+  // after it would boot with a different id than in a crash-free run.
   ++boot_id_;
   up_ = true;
   if (trace_ != nullptr) {

@@ -12,9 +12,9 @@
 // Determinism: every random draw comes from a per-segment SplitMix64 stream
 // seeded from the plan, and draws happen only while at least one clause is
 // active on that segment -- fault-free windows consume no randomness, so
-// adding a fault window never perturbs traffic outside it. The hook runs only
-// in serial contexts (frame commit happens at epoch barriers under the
-// parallel engine), so plans are engine-invariant by construction.
+// adding a fault window never perturbs traffic outside it. The hook runs
+// inside EthernetSegment::Transmit, in the simulation's single event order,
+// so a plan and seed always give the same run.
 
 #ifndef XK_SRC_SIM_FAULT_H_
 #define XK_SRC_SIM_FAULT_H_
