@@ -98,6 +98,30 @@ void BM_EventQueueScheduleCancelMix(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancelMix);
 
+void BM_EventQueueFarTimers(benchmark::State& state) {
+  // FRAGMENT keeps every sent message for a one-second timer, so a busy
+  // sender holds many far timers while near-term events (frame deliveries,
+  // tasks) churn past them. Steady state: N live one-second timers. Each
+  // iteration advances the clock by 1 s / N with one near-term event and arms
+  // one fresh one-second timer, so about one old timer fires per iteration.
+  const int64_t n = state.range(0);
+  const SimTime step = n > 0 ? Msec(1000) / n : Usec(10);
+  EventQueue q;
+  for (int64_t i = 1; i <= n; ++i) {
+    q.ScheduleAt(step * i, [] {});
+  }
+  for (auto _ : state) {
+    q.ScheduleIn(step, [] {});
+    if (n > 0) {
+      q.ScheduleIn(Msec(1000), [] {});
+    }
+    benchmark::DoNotOptimize(q.RunUntil(q.now() + step));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(q.fired_total()));
+  state.counters["live"] = static_cast<double>(q.pending_events());
+}
+BENCHMARK(BM_EventQueueFarTimers)->Arg(0)->Arg(1000)->Arg(100000);
+
 void BM_FullNullRpcSimulated(benchmark::State& state) {
   // Wall-clock cost of simulating one complete null RPC through the full
   // layered stack -- the harness overhead per simulated call.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the regular build + test suite, then an
 # ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
-# observability determinism diffs across worker thread counts, the
-# regression, chaos, datacenter, overload and soak gates, and a TSan pass
-# over bench_suite's job pool (its only concurrency).
+# a short run of each host-time benchmark workload, observability
+# determinism diffs across worker thread counts, the regression, chaos,
+# datacenter, overload and soak gates, and a TSan pass over bench_suite's
+# job pool (its only concurrency).
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 tests only
@@ -47,6 +48,17 @@ trap 'rm -rf "$obs"' EXIT
 ./build/src/xktrace "$obs/t3.trace.jsonl" > "$obs/t3.breakdown.txt"
 [[ -s "$obs/t3.breakdown.txt" ]]
 grep -q "per-call" "$obs/t3.breakdown.txt"
+
+echo
+echo "== host-time benchmark smoke: perfbench builds and runs =="
+# perfbench/ builds the simulator libraries through its own CMakeLists.txt,
+# so a src/ API change can break it while build/ stays green. One short run
+# of each workload BENCHMARK.json lists; run.py exits non-zero on a build
+# error or a failed output check.
+for w in pair-null datacenter sessions; do
+  CARGO_TARGET_DIR="$obs/perfbench" python3 perfbench/run.py \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
 
 echo
 echo "== observability determinism: bench_suite bit-identical at 1/2/4 threads =="

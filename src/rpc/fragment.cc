@@ -166,9 +166,8 @@ Status FragmentSession::DoPush(Message& msg) {
   ++frag_.stats_.messages_sent;
 
   kernel().ChargeMapBind();  // enter the send cache
-  SendRecord& rec = send_cache_[seq];
-  rec.num_frags = num_frags;
-  rec.frags.reserve(num_frags);
+  std::vector<Message>& frags = send_cache_.PushBack().frags;
+  frags.reserve(num_frags);
   for (uint16_t i = 0; i < num_frags; ++i) {
     Message piece;
     if (num_frags == 1) {
@@ -181,17 +180,35 @@ Status FragmentSession::DoPush(Message& msg) {
     // The cache shares the payload bytes with the in-flight packets (the
     // footnote in Section 3.2: multiple layers hold references to pieces of
     // the same message).
-    rec.frags.push_back(piece);
+    frags.push_back(piece);
     SendFragment(seq, num_frags, i, piece, kTypeData);
   }
   // "The sending host associates a timer with each message it sends and
   // discards the message when the timer expires."
-  rec.discard_timer = kernel().SetTimer(frag_.send_cache_timeout_, [this, seq]() {
-    if (send_cache_.erase(seq) > 0) {
-      ++frag_.stats_.cache_expirations;
-    }
-  });
+  (void)kernel().SetTimer(frag_.send_cache_timeout_, [this, seq]() { DiscardSent(seq); });
   return OkStatus();
+}
+
+FragmentSession::SendRecord* FragmentSession::FindSent(uint32_t seq) {
+  // Unsigned wrap-around makes a seq below the front a huge index.
+  const uint32_t front_seq = next_seq_ - static_cast<uint32_t>(send_cache_.size());
+  const size_t i = seq - front_seq;
+  if (i >= send_cache_.size() || send_cache_[i].frags.empty()) {
+    return nullptr;
+  }
+  return &send_cache_[i];
+}
+
+void FragmentSession::DiscardSent(uint32_t seq) {
+  SendRecord* rec = FindSent(seq);
+  if (rec == nullptr) {
+    return;
+  }
+  rec->frags.clear();
+  ++frag_.stats_.cache_expirations;
+  while (!send_cache_.empty() && send_cache_.front().frags.empty()) {
+    send_cache_.PopFront();
+  }
 }
 
 void FragmentSession::SendNack(uint32_t seq, uint16_t missing_mask) {
@@ -239,18 +256,18 @@ void FragmentSession::OnGapTimer(uint32_t seq) {
 
 void FragmentSession::OnNack(uint32_t seq, uint16_t missing_mask) {
   ++frag_.stats_.nacks_received;
-  auto it = send_cache_.find(seq);
-  if (it == send_cache_.end()) {
+  const SendRecord* rec = FindSent(seq);
+  if (rec == nullptr) {
     // Cache already discarded: the higher level must resend (as a new
     // message). Nothing to do here.
     ++frag_.stats_.stale_nacks;
     return;
   }
-  SendRecord& rec = it->second;
-  for (uint16_t i = 0; i < rec.num_frags; ++i) {
+  const uint16_t num_frags = static_cast<uint16_t>(rec->frags.size());
+  for (uint16_t i = 0; i < num_frags; ++i) {
     if (missing_mask & (1u << i)) {
       ++frag_.stats_.fragments_resent;
-      SendFragment(seq, rec.num_frags, i, rec.frags[i], kTypeData);
+      SendFragment(seq, num_frags, i, rec->frags[i], kTypeData);
     }
   }
 }

@@ -33,6 +33,7 @@
 #include "src/core/kernel.h"
 #include "src/core/map.h"
 #include "src/core/protocol.h"
+#include "src/sim/ring.h"
 
 namespace xk {
 
@@ -115,9 +116,8 @@ class FragmentSession : public Session {
 
  private:
   struct SendRecord {
-    std::vector<Message> frags;  // payload slices, headers rebuilt on resend
-    uint16_t num_frags = 0;
-    EventHandle discard_timer;
+    // Payload slices, headers rebuilt on resend; empty once discarded.
+    std::vector<Message> frags;
   };
   struct Reasm {
     std::vector<Message> frags;
@@ -132,6 +132,9 @@ class FragmentSession : public Session {
   void SendNack(uint32_t seq, uint16_t missing_mask);
   void OnGapTimer(uint32_t seq);
   void OnNack(uint32_t seq, uint16_t missing_mask);
+  // The cached record for `seq`, or null if it was discarded (or never sent).
+  SendRecord* FindSent(uint32_t seq);
+  void DiscardSent(uint32_t seq);
   Status CompleteReassembly(uint32_t seq, Reasm& r);
   void ArmGapTimer(uint32_t seq);
 
@@ -140,7 +143,11 @@ class FragmentSession : public Session {
   RelProtoNum proto_;
   SessionRef lower_;
   uint32_t next_seq_ = 1;
-  std::map<uint32_t, SendRecord> send_cache_;
+  // Sequence-indexed send cache: records for next_seq_ - size() .. next_seq_ - 1,
+  // in order. Sequence numbers are assigned in order, so a send appends; a
+  // discard empties its record and then pops empty records off the front,
+  // which stays correct when discards run out of sequence order.
+  Ring<SendRecord> send_cache_;
   std::map<uint32_t, Reasm> reasm_;
   // Recently completed sequence numbers (sliding window) so late duplicate
   // fragments don't rebuild reassembly state.

@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -20,7 +21,7 @@ EventHandle EventQueue::ScheduleAt(SimTime at, EventFn fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   const uint32_t gen = s.generation;
-  HeapPush(Entry{at, next_seq_++, slot, gen});
+  Enqueue(Entry{at, next_seq_++, slot, gen});
   ++live_count_;
   return EventHandle(this, slot, gen);
 }
@@ -29,7 +30,8 @@ size_t EventQueue::Run(size_t max_events) {
   size_t fired = 0;
   Entry e;
   EventFn fn;
-  while (fired < max_events && PopNext(e, fn)) {
+  for (size_t src; fired < max_events && (src = NextSource()) != kNone;) {
+    Take(src, e, fn);
     if (stat_probe_ != nullptr) {
       stat_probe_->BeforeFire(e.at);
     }
@@ -43,15 +45,10 @@ size_t EventQueue::Run(size_t max_events) {
 
 size_t EventQueue::RunUntil(SimTime deadline) {
   size_t fired = 0;
+  Entry e;
   EventFn fn;
-  while (SkimDead()) {
-    if (heap_.front().at > deadline) {
-      break;
-    }
-    Entry e;
-    if (!PopNext(e, fn)) {
-      break;
-    }
+  for (size_t src; (src = NextSource()) != kNone && Head(src).at <= deadline;) {
+    Take(src, e, fn);
     if (stat_probe_ != nullptr) {
       stat_probe_->BeforeFire(e.at);
     }
@@ -82,7 +79,7 @@ uint32_t EventQueue::AcquireSlot() {
 void EventQueue::RetireSlot(uint32_t index) {
   Slot& s = slots_[index];
   s.fn = nullptr;
-  ++s.generation;  // invalidates handles and the heap entry, if still queued
+  ++s.generation;  // invalidates handles and the queued entry, if any
   s.next_free = free_head_;
   free_head_ = index;
 }
@@ -93,9 +90,34 @@ bool EventQueue::CancelInternal(uint32_t index, uint32_t gen) {
   }
   RetireSlot(index);
   --live_count_;
-  ++dead_in_heap_;  // its Entry is still queued; skipped or swept later
+  ++dead_queued_;  // its Entry is still queued; dropped or swept later
   MaybeSweepDead();
   return true;
+}
+
+void EventQueue::Enqueue(const Entry& e) {
+  // Append to the run whose tail is the latest entry not after `e` (best
+  // fit keeps runs with earlier tails free for earlier entries); failing
+  // that, an idle run starts over with `e`. Runs stay sorted because seq
+  // only grows.
+  size_t fit = kNone;
+  for (uint32_t m = busy_runs_; m != 0; m &= m - 1) {
+    const size_t r = static_cast<size_t>(std::countr_zero(m));
+    const Entry& tail = runs_[r].back();
+    if (!Before(e, tail) && (fit == kNone || Before(runs_[fit].back(), tail))) {
+      fit = r;
+    }
+  }
+  if (fit == kNone) {
+    const uint32_t idle = ~busy_runs_ & ((1u << kRuns) - 1);
+    if (idle == 0) {
+      HeapPush(e);
+      return;
+    }
+    fit = static_cast<size_t>(std::countr_zero(idle));
+    busy_runs_ |= 1u << fit;
+  }
+  runs_[fit].PushBack() = e;
 }
 
 void EventQueue::HeapPush(Entry e) {
@@ -151,34 +173,75 @@ void EventQueue::SiftDown(size_t i) {
   heap_[i] = moving;
 }
 
-bool EventQueue::SkimDead() {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (slots_[top.slot].generation == top.gen) {
-      return true;
+size_t EventQueue::NextSource() {
+  for (;;) {
+    size_t best = kNone;
+    const Entry* least = nullptr;
+    if (!heap_.empty()) {
+      best = kHeap;
+      least = &heap_.front();
     }
-    --dead_in_heap_;
-    HeapPopTop();
+    for (uint32_t m = busy_runs_; m != 0; m &= m - 1) {
+      const size_t r = static_cast<size_t>(std::countr_zero(m));
+      if (least == nullptr || Before(runs_[r].front(), *least)) {
+        best = r;
+        least = &runs_[r].front();
+      }
+    }
+    if (least == nullptr || slots_[least->slot].generation == least->gen) {
+      return best;
+    }
+    --dead_queued_;
+    DropHead(best);
   }
-  return false;
+}
+
+void EventQueue::DropHead(size_t src) {
+  if (src == kHeap) {
+    HeapPopTop();
+    return;
+  }
+  runs_[src].PopFront();
+  if (runs_[src].empty()) {
+    busy_runs_ &= ~(1u << src);
+  }
 }
 
 void EventQueue::MaybeSweepDead() {
-  // Under a cancellation storm most heap entries are stale; compact them in
-  // one O(n) pass instead of sifting each through the top. The pop order of
-  // live entries is unchanged: same comparator, full re-heapify.
-  if (heap_.size() < 64 || dead_in_heap_ * 2 < heap_.size()) {
+  // Under a cancellation storm most queued entries are stale; compact them in
+  // one O(n) pass instead of dropping each as it becomes the least. The pop
+  // order of live entries is unchanged: runs are compacted stably (so they
+  // stay sorted) and the heap is fully re-heapified under the same
+  // comparator.
+  size_t queued = heap_.size();
+  for (const Ring<Entry>& run : runs_) {
+    queued += run.size();
+  }
+  if (queued < 64 || dead_queued_ * 2 < queued) {
     return;
+  }
+  auto live = [this](const Entry& e) { return slots_[e.slot].generation == e.gen; };
+  for (size_t i = 0; i < kRuns; ++i) {
+    Ring<Entry>& run = runs_[i];
+    size_t w = 0;
+    for (size_t r = 0; r < run.size(); ++r) {
+      if (live(run[r])) {
+        run[w++] = run[r];
+      }
+    }
+    run.Truncate(w);
+    if (w == 0) {
+      busy_runs_ &= ~(1u << i);
+    }
   }
   size_t w = 0;
   for (size_t r = 0; r < heap_.size(); ++r) {
-    const Entry& e = heap_[r];
-    if (slots_[e.slot].generation == e.gen) {
-      heap_[w++] = e;
+    if (live(heap_[r])) {
+      heap_[w++] = heap_[r];
     }
   }
   heap_.resize(w);
-  dead_in_heap_ = 0;
+  dead_queued_ = 0;
   if (w > 1) {
     for (size_t i = Parent(w - 1) + 1; i-- > 0;) {
       SiftDown(i);
@@ -186,19 +249,15 @@ void EventQueue::MaybeSweepDead() {
   }
 }
 
-bool EventQueue::PopNext(Entry& out, EventFn& fn) {
-  if (!SkimDead()) {
-    return false;
-  }
-  out = heap_.front();
+void EventQueue::Take(size_t src, Entry& out, EventFn& fn) {
+  out = Head(src);
   Slot& s = slots_[out.slot];
   // Retire before running: a Cancel() from inside the handler (or on a stale
   // copy of the handle) is a no-op and charges nothing.
   fn = std::move(s.fn);
   RetireSlot(out.slot);
   --live_count_;
-  HeapPopTop();
-  return true;
+  DropHead(src);
 }
 
 }  // namespace xk

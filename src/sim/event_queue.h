@@ -7,13 +7,24 @@
 //
 // Host-side representation (invisible to simulated time): closures live in a
 // slab of reusable slots, cancellation is a generation-counter bump, and the
-// ready order is kept in a 4-ary min-heap of 24-byte POD entries. Scheduling,
-// firing, and cancelling therefore allocate nothing in steady state -- the
-// slab and the heap reach a high-water mark and stay there. This matters
-// because the dominant pattern is a retransmit timer (CHANNEL, FRAGMENT, RDP)
-// that is set per message and cancelled when the reply beats it: a cancel is
-// one generation bump, and the stale heap entry is skipped when it surfaces
-// (or swept out wholesale if the heap becomes mostly dead).
+// ready order is kept as 24-byte POD entries in two kinds of queue. A few
+// sorted runs -- FIFO rings whose entries are in (at, seq) order -- take
+// every entry that is not earlier than some run's tail (an idle run takes
+// any entry); only the rest go to a 4-ary min-heap. Long protocol timers set at one fixed interval (FRAGMENT's
+// one-second send-cache discard) arrive in firing order, so they append to a
+// run and leave from its head in O(1) instead of sinking through the heap
+// under every near-term pop. The next event is the least of the heap top and
+// the run heads under the same comparator, so the firing order is exactly
+// the (at, seq) order a single heap would give.
+//
+// Scheduling, firing, and cancelling allocate nothing in steady state -- the
+// slab, runs, and heap reach a high-water mark and stay there. A cancel is
+// one generation bump; the dead entry stays queued and is dropped when it
+// becomes the least entry, or swept out of heap and runs together (runs
+// compacted stably, so they stay sorted) once most queued entries are dead.
+// This matters because the dominant pattern is a retransmit timer (CHANNEL,
+// FRAGMENT, RDP) that is set per message and cancelled when the reply beats
+// it.
 //
 // Handles are {slot index, generation} pairs into the queue's slab; they must
 // not outlive the EventQueue they came from (in this repository queues always
@@ -22,6 +33,7 @@
 #ifndef XK_SRC_SIM_EVENT_QUEUE_H_
 #define XK_SRC_SIM_EVENT_QUEUE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -30,6 +42,7 @@
 #include <vector>
 
 #include "src/core/types.h"
+#include "src/sim/ring.h"
 
 namespace xk {
 
@@ -225,7 +238,7 @@ class EventQueue {
   static constexpr uint32_t kNil = UINT32_MAX;
 
   // One slab slot. `generation` advances every time the slot's event ends
-  // (fires or is cancelled), so stale handles and stale heap entries are
+  // (fires or is cancelled), so stale handles and stale queue entries are
   // recognized by mismatch. While free, `next_free` links the freelist.
   struct Slot {
     EventFn fn;
@@ -233,7 +246,7 @@ class EventQueue {
     uint32_t next_free = kNil;
   };
 
-  // Heap entry: plain data, cheap to sift. The closure stays in the slab.
+  // Queue entry: plain data, cheap to sift. The closure stays in the slab.
   struct Entry {
     SimTime at;
     uint64_t seq;
@@ -255,15 +268,29 @@ class EventQueue {
   }
   bool CancelInternal(uint32_t index, uint32_t gen);
 
+  // Sorted runs beside the heap. A handful suffices: one per family of
+  // same-interval timers plus a few for near-term traffic that is scheduled
+  // in time order anyway.
+  static constexpr size_t kRuns = 4;
+  // Source index naming the heap in NextSource()/Head()/DropHead().
+  static constexpr size_t kHeap = kRuns;
+  static constexpr size_t kNone = kRuns + 1;
+
+  void Enqueue(const Entry& e);
   void HeapPush(Entry e);
   void HeapPopTop();
   void SiftDown(size_t i);
-  // Drops dead heap entries at the top; returns false if the heap drained.
-  bool SkimDead();
+  // Source (a run index or kHeap) holding the least live entry, dropping dead
+  // entries that surface as the least; kNone if nothing live is queued.
+  size_t NextSource();
+  const Entry& Head(size_t src) const {
+    return src == kHeap ? heap_.front() : runs_[src].front();
+  }
+  void DropHead(size_t src);
   void MaybeSweepDead();
 
-  // Pops the next live event, transferring its closure to `fn`.
-  bool PopNext(Entry& out, EventFn& fn);
+  // Pops the head of `src` (a live event), transferring its closure to `fn`.
+  void Take(size_t src, Entry& out, EventFn& fn);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
@@ -274,8 +301,10 @@ class EventQueue {
 
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNil;
+  std::array<Ring<Entry>, kRuns> runs_;
+  uint32_t busy_runs_ = 0;  // bit r set iff runs_[r] is non-empty
   std::vector<Entry> heap_;
-  size_t dead_in_heap_ = 0;  // cancelled entries not yet skipped/swept
+  size_t dead_queued_ = 0;  // cancelled entries (heap or runs) not yet dropped
 };
 
 inline bool EventHandle::pending() const {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <random>
 #include <vector>
@@ -210,11 +211,58 @@ TEST(EventQueueTest, HandleStaysDeadAfterSlotReuse) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
-  // Replay a long random schedule/cancel/run trace against a transparent
-  // reference implementation with the seed's priority-queue semantics
-  // ((at, seq) ordering, cancellation by flag). Firing order, firing times,
-  // cancel return values, and live counts must match exactly.
+// Drives an EventQueue and a transparent reference implementation with the
+// seed's priority-queue semantics ((at, seq) ordering, cancellation by flag)
+// through the same operations. Firing order, firing times, cancel return
+// values, and live counts must match exactly.
+class Differential {
+ public:
+  void Schedule(SimTime at) {
+    const int id = static_cast<int>(ref_dead_.size());
+    ref_heap_.push(RefEvent{at < ref_now_ ? ref_now_ : at, ref_seq_++, id});
+    ref_dead_.push_back(false);
+    ++ref_live_;
+    handles_.push_back(q_.ScheduleAt(at, [this, id] { fired_real_.push_back(id); }));
+  }
+  // Schedules `delay` after the current time.
+  void ScheduleIn(SimTime delay) { Schedule(ref_now_ + delay); }
+
+  size_t scheduled() const { return handles_.size(); }
+
+  void Cancel(size_t id, int step) {
+    const bool ref_was_live = !ref_dead_[id];
+    ref_dead_[id] = true;
+    ref_live_ -= ref_was_live ? 1 : 0;
+    EXPECT_EQ(handles_[id].Cancel(), ref_was_live) << "step " << step;
+    EXPECT_FALSE(handles_[id].pending()) << "step " << step;
+  }
+
+  void Run(size_t max_events, int step) {
+    EXPECT_EQ(q_.Run(max_events), RefRun(max_events, INT64_MAX)) << "step " << step;
+    EXPECT_EQ(q_.now(), ref_now_) << "step " << step;
+  }
+
+  void RunUntil(SimTime deadline, int step) {
+    EXPECT_EQ(q_.RunUntil(deadline), RefRun(SIZE_MAX, deadline)) << "step " << step;
+    EXPECT_EQ(q_.now(), ref_now_) << "step " << step;
+  }
+
+  void ExpectSynced(int step) {
+    EXPECT_EQ(q_.pending_events(), ref_live_) << "step " << step;
+    ASSERT_EQ(fired_real_.size(), fired_ref_.size()) << "step " << step;
+  }
+
+  // Drains both queues and compares the complete firing order.
+  void Finish() {
+    Run(SIZE_MAX, -1);
+    EXPECT_EQ(fired_real_, fired_ref_);
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(ref_live_, 0u);
+  }
+
+  SimTime now() const { return ref_now_; }
+
+ private:
   struct RefEvent {
     SimTime at;
     uint64_t seq;
@@ -224,68 +272,102 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
       return seq > o.seq;
     }
   };
-  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<RefEvent>>
-      ref_heap;
-  std::vector<bool> ref_dead;  // id -> cancelled-or-fired
-  SimTime ref_now = 0;
-  uint64_t ref_seq = 0;
 
-  EventQueue q;
-  std::vector<EventHandle> handles;
-  std::vector<int> fired_real;
-  std::vector<int> fired_ref;
-
-  auto ref_live = [&] {
-    size_t n = 0;
-    for (size_t i = 0; i < ref_dead.size(); ++i) {
-      // Count ids scheduled but neither fired nor cancelled.
-      n += ref_dead[i] ? 0 : 1;
-    }
-    return n;
-  };
-  auto ref_run = [&](size_t max_events) {
+  size_t RefRun(size_t max_events, SimTime deadline) {
     size_t fired = 0;
-    while (fired < max_events && !ref_heap.empty()) {
-      RefEvent ev = ref_heap.top();
-      ref_heap.pop();
-      if (ref_dead[ev.id]) continue;
-      ref_now = ev.at;
-      ref_dead[ev.id] = true;
-      fired_ref.push_back(ev.id);
+    while (fired < max_events && !ref_heap_.empty() && ref_heap_.top().at <= deadline) {
+      const RefEvent ev = ref_heap_.top();
+      ref_heap_.pop();
+      if (ref_dead_[ev.id]) continue;
+      ref_now_ = ev.at;
+      ref_dead_[ev.id] = true;
+      --ref_live_;
+      fired_ref_.push_back(ev.id);
       ++fired;
     }
     return fired;
-  };
+  }
 
+  EventQueue q_;
+  std::vector<EventHandle> handles_;
+  std::vector<int> fired_real_;
+
+  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<RefEvent>> ref_heap_;
+  std::vector<bool> ref_dead_;  // id -> cancelled-or-fired
+  size_t ref_live_ = 0;
+  SimTime ref_now_ = 0;
+  uint64_t ref_seq_ = 0;
+  std::vector<int> fired_ref_;
+};
+
+TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
+  // A long random schedule/cancel/run trace of near-term events.
+  Differential d;
   std::mt19937 rng(20260806);
   for (int step = 0; step < 4000; ++step) {
     const int op = static_cast<int>(rng() % 100);
     if (op < 55) {  // schedule, sometimes in the "past" to exercise clamping
-      const SimTime at = ref_now + static_cast<SimTime>(rng() % 500) - 50;
-      const int id = static_cast<int>(ref_dead.size());
-      const SimTime clamped = at < ref_now ? ref_now : at;
-      ref_heap.push(RefEvent{clamped, ref_seq++, id});
-      ref_dead.push_back(false);
-      handles.push_back(
-          q.ScheduleAt(at, [&fired_real, id] { fired_real.push_back(id); }));
-    } else if (op < 85 && !handles.empty()) {  // cancel a random id
-      const size_t victim = rng() % handles.size();
-      const bool ref_was_live = !ref_dead[victim];
-      ref_dead[victim] = true;
-      EXPECT_EQ(handles[victim].Cancel(), ref_was_live) << "step " << step;
-      EXPECT_FALSE(handles[victim].pending());
+      d.ScheduleIn(static_cast<SimTime>(rng() % 500) - 50);
+    } else if (op < 85 && d.scheduled() > 0) {  // cancel a random id
+      d.Cancel(rng() % d.scheduled(), step);
     } else {  // run a bounded burst
-      const size_t burst = 1 + rng() % 8;
-      EXPECT_EQ(q.Run(burst), ref_run(burst)) << "step " << step;
-      EXPECT_EQ(q.now(), ref_now) << "step " << step;
+      d.Run(1 + rng() % 8, step);
     }
-    EXPECT_EQ(q.pending_events(), ref_live()) << "step " << step;
+    d.ExpectSynced(step);
   }
-  q.Run();
-  ref_run(SIZE_MAX);
-  EXPECT_EQ(q.now(), ref_now);
-  EXPECT_EQ(fired_real, fired_ref);
-  EXPECT_TRUE(q.empty());
+  d.Finish();
+}
+
+TEST(EventQueueTest, DifferentialWithLongTimerRuns) {
+  // The mix the sorted runs exist for: many timers at a few constant long
+  // delays (FRAGMENT's one-second send-cache discard, a 200 ms retransmit)
+  // interleaved with near-term traffic. Around it, the cases that must not
+  // disturb the (at, seq) order: far events earlier than a run's tail (a
+  // descending ladder needs more runs than exist, so it spills to the heap),
+  // cancels of run entries, a cancellation storm over run entries that
+  // triggers the dead-entry sweep, and RunUntil deadlines that fall between
+  // a run head and the heap top.
+  Differential d;
+  std::mt19937 rng(20261017);
+  std::vector<size_t> long_ids;
+  for (int step = 0; step < 20000; ++step) {
+    const int op = static_cast<int>(rng() % 1000);
+    // Timers are set at the CPU's time, a little ahead of the queue clock.
+    const SimTime cpu_lead = static_cast<SimTime>(rng() % 40);
+    if (op < 300) {  // near-term traffic
+      d.ScheduleIn(static_cast<SimTime>(rng() % 300));
+    } else if (op < 500) {  // one-second timer
+      long_ids.push_back(d.scheduled());
+      d.ScheduleIn(Msec(1000) + cpu_lead);
+    } else if (op < 560) {  // 200 ms timer
+      long_ids.push_back(d.scheduled());
+      d.ScheduleIn(Msec(200) + cpu_lead);
+    } else if (op < 575) {  // descending ladder of far events below the tails
+      for (int k = 12; k > 0; --k) {
+        d.ScheduleIn(Msec(50) * k + static_cast<SimTime>(rng() % 1000));
+      }
+    } else if (op < 675 && !long_ids.empty()) {  // cancel a long timer
+      d.Cancel(long_ids[rng() % long_ids.size()], step);
+    } else if (op < 680) {  // storm over run entries, big enough to sweep
+      for (int k = 0; k < 400; ++k) {
+        long_ids.push_back(d.scheduled());
+        d.ScheduleIn(Msec(1000) + k);
+      }
+      for (size_t i = 0; i < long_ids.size(); ++i) {
+        if (rng() % 10 != 0) {
+          d.Cancel(long_ids[i], step);
+        }
+      }
+      long_ids.clear();
+    } else if (op < 850) {  // run a bounded burst
+      d.Run(1 + rng() % 16, step);
+    } else {  // run to a deadline: near-term, or out among the long timers
+      const SimTime horizon = (rng() % 4 == 0) ? Msec(1200) : Usec(400);
+      d.RunUntil(d.now() + static_cast<SimTime>(rng() % static_cast<uint64_t>(horizon)), step);
+    }
+    d.ExpectSynced(step);
+  }
+  d.Finish();
 }
 
 TEST(EventQueueTest, CountsFiredEvents) {

@@ -157,6 +157,96 @@ TEST_F(FragmentFixture, StaleNackAfterCacheExpiry) {
   EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 1u);
 }
 
+// The send cache is indexed by sequence number; these pin down that it keeps
+// each message exactly as long as that message's own timer, whatever order
+// the timers fire in.
+
+// Pushes one message per (timeout, size) pair in a single client task,
+// setting the send-cache timeout before each, so consecutive sequence numbers
+// get different discard times.
+void SendWithTimeouts(FragmentFixture& f, const SessionRef& sess,
+                      const std::vector<std::pair<SimTime, size_t>>& msgs) {
+  RunIn(*f.ch->kernel, [&] {
+    uint8_t seed = 20;
+    for (const auto& [timeout, size] : msgs) {
+      f.cstack.fragment->set_send_cache_timeout(timeout);
+      Message msg = Message::FromBytes(PatternBytes(size, seed++));
+      EXPECT_TRUE(sess->Push(msg).ok());
+    }
+  });
+}
+
+TEST_F(FragmentFixture, LaterSequenceExpiresFirstAndLiveNeighbourIsServed) {
+  // seq 1 and 3 are cached for 5 ms, seq 2 for 200 ms. seq 2 loses its middle
+  // fragment (frames 0-2 are seq 1, 3-5 seq 2, 6-8 seq 3), so the receiver's
+  // NACK arrives ~20 ms later -- after both neighbours, one of them a later
+  // sequence number, have been discarded. It must still be served.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+    return index == 4 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SessionRef sess = OpenToServer();
+  const SimTime start = net->events().now();
+  SendWithTimeouts(*this, sess, {{Msec(5), 2500}, {Msec(200), 2500}, {Msec(5), 2500}});
+  net->events().RunUntil(start + Msec(15));
+  EXPECT_EQ(cstack.fragment->stats().cache_expirations, 2u);
+  EXPECT_EQ(cstack.fragment->stats().nacks_received, 0u);
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), 3u);
+  EXPECT_EQ(sa->received[2], PatternBytes(2500, 21));  // seq 2, completed last
+  EXPECT_GE(cstack.fragment->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.fragment->stats().stale_nacks, 0u);
+  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+  EXPECT_EQ(cstack.fragment->stats().cache_expirations, 3u);
+}
+
+TEST_F(FragmentFixture, StaleNackBetweenLiveNeighbours) {
+  // The mirror case: seq 2 expires after 5 ms while seq 1 and 3 stay cached.
+  // Its NACK must count as stale and resend nothing; the neighbours are
+  // delivered untouched.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+    return index == 4 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SessionRef sess = OpenToServer();
+  SendWithTimeouts(*this, sess, {{Msec(200), 2500}, {Msec(5), 2500}, {Msec(200), 2500}});
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), 2u);
+  EXPECT_EQ(sa->received[0], PatternBytes(2500, 20));
+  EXPECT_EQ(sa->received[1], PatternBytes(2500, 22));
+  EXPECT_GE(cstack.fragment->stats().stale_nacks, 1u);
+  EXPECT_EQ(cstack.fragment->stats().stale_nacks, cstack.fragment->stats().nacks_received);
+  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 0u);
+  EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 1u);
+  EXPECT_EQ(cstack.fragment->stats().cache_expirations, 3u);
+}
+
+TEST_F(FragmentFixture, EveryCachedMessageIsDiscardedAtQuiescence) {
+  // Multi-fragment traffic in bursts, with timeouts that make discards run
+  // out of sequence order and a loss pattern that makes some NACKs land on
+  // live records and some on discarded ones. Once the network is quiet,
+  // every message sent has been discarded exactly once.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+    return index % 7 == 3 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SessionRef sess = OpenToServer();
+  const SimTime timeouts[] = {Msec(5), Msec(40), Msec(1000), Msec(15)};
+  const size_t sizes[] = {100, 2500, 4096, 16384, 1500};
+  size_t n = 0;
+  for (int burst = 0; burst < 6; ++burst) {
+    std::vector<std::pair<SimTime, size_t>> msgs;
+    for (int i = 0; i < 4; ++i, ++n) {
+      msgs.emplace_back(timeouts[n % 4], sizes[n % 5]);
+    }
+    SendWithTimeouts(*this, sess, msgs);
+    net->events().RunUntil(net->events().now() + Msec(30));
+  }
+  net->RunAll();
+  const FragmentProtocol::Stats& st = cstack.fragment->stats();
+  EXPECT_EQ(st.messages_sent, n);
+  EXPECT_EQ(st.cache_expirations, st.messages_sent);
+  EXPECT_GE(st.fragments_resent, 1u);
+  EXPECT_GE(st.stale_nacks, 1u);
+}
+
 TEST_F(FragmentFixture, DuplicateFragmentsIgnoredDuringReassembly) {
   net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
     return index < 2 ? LinkFault::kDuplicate : LinkFault::kDeliver;
