@@ -1,33 +1,40 @@
 // The full benchmark suite in one parallel binary.
 //
-// Enumerates every configuration the per-table binaries measure -- Tables
-// I-III, the Section 4.3 dynamic-removal stack, the Section 1 UDP/IP
-// cross-kernel comparison, the 1k..16k throughput sweep, and both ablations
-// -- and runs them as independent jobs on a host thread pool, one simulated
-// Internet per job. Results are written as JSON (BENCH_RESULTS.json).
+// Enumerates every configuration of the paper's evaluation -- Tables I-III,
+// the Section 4.3 dynamic-removal stack, the Section 1 UDP/IP cross-kernel
+// comparison, the 1k..16k throughput sweep, and both ablations -- plus the
+// many-host, chaos, datacenter and session-scale workloads, and runs them as
+// independent jobs on a host thread pool, one simulated Internet per job.
+// Results are written as JSON (BENCH_RESULTS.json); then a paper-vs-measured
+// report of the paper's tables goes to stdout (see kReport).
 //
 // Parallelism rule: parallel ACROSS instances, serial and deterministic
 // WITHIN an instance. The job pool is the suite's only concurrency: each job
 // builds its own Internet (one EventQueue, kernels, and sessions), runs it on
-// one thread, shares nothing mutable with other jobs, and therefore
-// reports exactly the numbers the serial binaries report -- the jobs even
-// call the same helpers in bench_util.h. Only the host-side wall-clock
-// fields (wall_ms, events_per_sec, parallel_speedup) vary run to run.
+// one thread, and shares nothing mutable with other jobs, so the results --
+// and the report -- are identical at any --threads. Only the host-side
+// wall-clock fields (wall_ms, events_per_sec, parallel_speedup) vary run to
+// run.
 
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <regex>
 #include <thread>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_util.h"
-#include "src/trace/causal.h"
 #include "bench/session_scale.h"
 #include "src/cluster/datacenter.h"
+#include "src/stat/timeseries.h"
+#include "src/trace/causal.h"
+#include "src/trace/pcap.h"
+#include "src/trace/trace.h"
 
 namespace xk {
 namespace {
@@ -76,8 +83,8 @@ JobResult FromConfig(const ConfigResult& r) {
 
 Job MeasureJob(std::string group, std::string name, RpcBench::Builder builder,
                HostEnv env = HostEnv::kXKernel) {
-  JobFn fn = [name, builder = std::move(builder), env] {
-    return FromConfig(RpcBench::Measure(name, builder, env));
+  JobFn fn = [builder = std::move(builder), env] {
+    return FromConfig(RpcBench::Measure(builder, env));
   };
   return Job{std::move(group), std::move(name), std::move(fn)};
 }
@@ -133,8 +140,8 @@ Job HeaderAllocJob(std::string name, HeaderAllocPolicy policy) {
     JobResult out;
     PartialLatency base = MeasurePartialLatency(0);
     PartialLatency chan = MeasurePartialLatency(2);
-    ConfigResult full = RpcBench::Measure(
-        "SELECT-CHANNEL-FRAGMENT-VIP", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+    ConfigResult full =
+        RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
     out.metrics = {{"vip_base_ms", base.ms},
                    {"full_stack_ms", full.latency_ms},
                    {"avg_per_layer_ms", (full.latency_ms - base.ms) / 3.0},
@@ -810,6 +817,209 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   return out;
 }
 
+// --- paper-vs-measured report ------------------------------------------------
+
+// How a report row's value comes from its operands a and b.
+enum Derive { kValue, kDiff, kPct, kRatio, kSum };  // a, a-b, 100(a-b)/b, a/b, a+b
+
+// One line of the report. An operand names a metric as "group.name.metric";
+// a row without one is a section title. A row whose jobs --filter left out
+// is skipped.
+struct ReportRow {
+  Derive op = kValue;
+  const char* label = nullptr;  // default: "<name> <metric>" of `a`
+  const char* a = nullptr;
+  const char* b = nullptr;
+  std::optional<double> paper = std::nullopt;  // where the paper gives a number
+};
+
+// The paper's tables, with its values. Tables I and II and Section 4.3 share
+// the M_RPC-VIP and L_RPC-VIP jobs, as the paper's tables share those stacks.
+constexpr ReportRow kReport[] = {
+    {.label = "Table I: Evaluating VIP"},
+    {.a = "table1_vip.N_RPC.latency_ms", .paper = 2.60},
+    {.a = "table1_vip.N_RPC.throughput_kbs", .paper = 700},
+    {.a = "table1_vip.N_RPC.incr_ms_per_kb", .paper = 1.20},
+    {.a = "table1_vip.M_RPC-ETH.latency_ms", .paper = 1.73},
+    {.a = "table1_vip.M_RPC-ETH.throughput_kbs", .paper = 863},
+    {.a = "table1_vip.M_RPC-ETH.incr_ms_per_kb", .paper = 1.04},
+    {.a = "table1_vip.M_RPC-IP.latency_ms", .paper = 2.10},
+    {.a = "table1_vip.M_RPC-IP.throughput_kbs", .paper = 836},
+    {.a = "table1_vip.M_RPC-IP.incr_ms_per_kb", .paper = 1.05},
+    {.a = "table1_vip.M_RPC-VIP.latency_ms", .paper = 1.79},
+    {.a = "table1_vip.M_RPC-VIP.throughput_kbs", .paper = 860},
+    {.a = "table1_vip.M_RPC-VIP.incr_ms_per_kb", .paper = 1.04},
+    {.op = kDiff, .label = "IP penalty over ETH (ms)", .a = "table1_vip.M_RPC-IP.latency_ms",
+     .b = "table1_vip.M_RPC-ETH.latency_ms", .paper = 0.37},
+    {.op = kPct, .label = "IP penalty over ETH", .a = "table1_vip.M_RPC-IP.latency_ms",
+     .b = "table1_vip.M_RPC-ETH.latency_ms", .paper = 21},
+    {.op = kDiff, .label = "VIP overhead over ETH (ms)", .a = "table1_vip.M_RPC-VIP.latency_ms",
+     .b = "table1_vip.M_RPC-ETH.latency_ms", .paper = 0.06},
+    // CPU per 16 KB call; the paper: VIP uses less than IP.
+    {.a = "table1_vip.M_RPC-ETH.client_cpu_ms"},
+    {.a = "table1_vip.M_RPC-ETH.server_cpu_ms"},
+    {.a = "table1_vip.M_RPC-IP.client_cpu_ms"},
+    {.a = "table1_vip.M_RPC-IP.server_cpu_ms"},
+    {.a = "table1_vip.M_RPC-VIP.client_cpu_ms"},
+    {.a = "table1_vip.M_RPC-VIP.server_cpu_ms"},
+
+    {.label = "Table II: Monolithic RPC versus Layered RPC"},
+    {.a = "table1_vip.M_RPC-VIP.latency_ms", .paper = 1.79},
+    {.a = "table1_vip.M_RPC-VIP.throughput_kbs", .paper = 860},
+    {.a = "table1_vip.M_RPC-VIP.incr_ms_per_kb", .paper = 1.04},
+    {.a = "table2_layering.L_RPC-VIP.latency_ms", .paper = 1.93},
+    {.a = "table2_layering.L_RPC-VIP.throughput_kbs", .paper = 839},
+    {.a = "table2_layering.L_RPC-VIP.incr_ms_per_kb", .paper = 1.03},
+    {.op = kDiff, .label = "Layering penalty (ms)", .a = "table2_layering.L_RPC-VIP.latency_ms",
+     .b = "table1_vip.M_RPC-VIP.latency_ms", .paper = 0.14},
+    // The paper: the layered stack uses slightly less CPU per 16 KB call.
+    {.op = kSum, .label = "M_RPC-VIP cpu_ms (client+server)",
+     .a = "table1_vip.M_RPC-VIP.client_cpu_ms", .b = "table1_vip.M_RPC-VIP.server_cpu_ms"},
+    {.op = kSum, .label = "L_RPC-VIP cpu_ms (client+server)",
+     .a = "table2_layering.L_RPC-VIP.client_cpu_ms",
+     .b = "table2_layering.L_RPC-VIP.server_cpu_ms"},
+
+    {.label = "Table III: Cost of Individual RPC Layers"},
+    {.a = "table3_layer_costs.VIP.latency_ms", .paper = 1.12},
+    {.a = "table3_layer_costs.FRAGMENT-VIP.latency_ms", .paper = 1.33},
+    {.a = "table3_layer_costs.CHANNEL-FRAGMENT-VIP.latency_ms", .paper = 1.82},
+    {.label = "SELECT-CHANNEL-FRAGMENT-VIP latency_ms",
+     .a = "table2_layering.L_RPC-VIP.latency_ms", .paper = 1.93},
+    {.op = kDiff, .label = "FRAGMENT layer (ms)", .a = "table3_layer_costs.FRAGMENT-VIP.latency_ms",
+     .b = "table3_layer_costs.VIP.latency_ms", .paper = 0.21},
+    {.op = kDiff, .label = "CHANNEL layer (ms)",
+     .a = "table3_layer_costs.CHANNEL-FRAGMENT-VIP.latency_ms",
+     .b = "table3_layer_costs.FRAGMENT-VIP.latency_ms", .paper = 0.49},
+    {.op = kDiff, .label = "SELECT layer (ms)", .a = "table2_layering.L_RPC-VIP.latency_ms",
+     .b = "table3_layer_costs.CHANNEL-FRAGMENT-VIP.latency_ms", .paper = 0.11},
+    {.a = "table3_layer_costs.FRAGMENT-throughput.throughput_kbs", .paper = 865},
+
+    {.label = "Section 4.3: Dynamically Removing Layers"},
+    {.a = "table1_vip.M_RPC-VIP.latency_ms", .paper = 1.79},
+    {.a = "table1_vip.M_RPC-VIP.throughput_kbs", .paper = 860},
+    {.a = "table1_vip.M_RPC-VIP.incr_ms_per_kb", .paper = 1.04},
+    {.a = "table2_layering.L_RPC-VIP.latency_ms", .paper = 1.93},
+    {.a = "table2_layering.L_RPC-VIP.throughput_kbs", .paper = 839},
+    {.a = "table2_layering.L_RPC-VIP.incr_ms_per_kb", .paper = 1.03},
+    {.a = "sec43_dynamic.SELECT-CHANNEL-VIPsize.latency_ms", .paper = 1.78},
+    {.a = "sec43_dynamic.SELECT-CHANNEL-VIPsize.throughput_kbs"},
+    {.a = "sec43_dynamic.SELECT-CHANNEL-VIPsize.incr_ms_per_kb"},
+    // The paper: -0.21 FRAGMENT + 0.06 VIPsize.
+    {.op = kDiff, .label = "Saved by bypassing FRAGMENT (ms)",
+     .a = "sec43_dynamic.SELECT-CHANNEL-VIPsize.latency_ms",
+     .b = "table2_layering.L_RPC-VIP.latency_ms", .paper = -0.15},
+    {.op = kDiff, .label = "Gap to monolithic (ms)",
+     .a = "sec43_dynamic.SELECT-CHANNEL-VIPsize.latency_ms",
+     .b = "table1_vip.M_RPC-VIP.latency_ms", .paper = -0.01},
+
+    {.label = "Section 1: UDP/IP user-to-user, x-kernel vs SunOS"},
+    {.a = "udp_crosskernel.UDP-xkernel.latency_ms", .paper = 2.00},
+    {.a = "udp_crosskernel.UDP-sunos.latency_ms", .paper = 5.36},
+    {.op = kRatio, .label = "SunOS / x-kernel", .a = "udp_crosskernel.UDP-sunos.latency_ms",
+     .b = "udp_crosskernel.UDP-xkernel.latency_ms", .paper = 2.68},
+
+    {.label = "Section 5 ablation: header buffer scheme"},
+    {.a = "ablation_header_alloc.pointer-adjust.vip_base_ms"},
+    {.a = "ablation_header_alloc.pointer-adjust.full_stack_ms"},
+    {.a = "ablation_header_alloc.pointer-adjust.avg_per_layer_ms"},
+    {.a = "ablation_header_alloc.pointer-adjust.min_per_layer_ms", .paper = 0.11},
+    {.a = "ablation_header_alloc.alloc-per-header.vip_base_ms"},
+    {.a = "ablation_header_alloc.alloc-per-header.full_stack_ms"},
+    {.a = "ablation_header_alloc.alloc-per-header.avg_per_layer_ms"},
+    {.a = "ablation_header_alloc.alloc-per-header.min_per_layer_ms", .paper = 0.50},
+};
+
+// Groups the paper gives no numbers for print as a matrix of measured values:
+// one column per job, one line per metric.
+constexpr std::pair<const char*, const char*> kMatrices[] = {
+    {"throughput_sweep", "Throughput sweep: per-call round trip vs request size"},
+    {"ablation_session_cache", "Section 5 ablation: session caching"},
+};
+
+// Metric names carry their unit: KB/s and percentages print whole, the rest
+// (ms, ms/KB, ratios) to two decimals, as the paper's tables do.
+std::string FormatValue(Derive op, const std::string& metric, double v) {
+  const bool whole = op == kPct || metric.ends_with("_kbs");
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), op == kDiff || op == kPct ? "%+.*f%s" : "%.*f%s",
+                whole ? 0 : 2, v, op == kPct ? "%" : op == kRatio ? "x" : "");
+  return buf;
+}
+
+void PrintReport(const std::vector<JobResult>& results) {
+  // "group.name.metric" -> the value, or nullopt when the job did not run.
+  const auto lookup = [&](const std::string& operand) -> std::optional<double> {
+    const size_t dot = operand.rfind('.');
+    for (const JobResult& r : results) {
+      if (r.group + "." + r.name != operand.substr(0, dot)) {
+        continue;
+      }
+      for (const Metric& m : r.metrics) {
+        if (m.name == operand.substr(dot + 1)) {
+          return m.value;
+        }
+      }
+    }
+    return std::nullopt;
+  };
+  const char* title = nullptr;  // printed before its section's first row
+  for (const ReportRow& row : kReport) {
+    if (row.a == nullptr) {
+      title = row.label;
+      continue;
+    }
+    const std::optional<double> a = lookup(row.a);
+    const std::optional<double> b = row.b != nullptr ? lookup(row.b) : 0.0;
+    if (!a || !b) {
+      continue;
+    }
+    const double v = row.op == kValue   ? *a
+                     : row.op == kDiff  ? *a - *b
+                     : row.op == kPct   ? 100.0 * (*a - *b) / *b
+                     : row.op == kRatio ? *a / *b
+                                        : *a + *b;
+    const std::string operand = row.a;
+    std::string name_metric = operand.substr(operand.find('.') + 1);
+    const size_t dot = name_metric.rfind('.');
+    const std::string metric = name_metric.substr(dot + 1);
+    name_metric[dot] = ' ';
+    const std::string label = row.label != nullptr ? row.label : name_metric;
+    if (title != nullptr) {
+      std::printf("\n%-50s %10s %10s\n", title, "measured", "paper");
+      title = nullptr;
+    }
+    std::printf("  %-48s %10s", label.c_str(), FormatValue(row.op, metric, v).c_str());
+    if (row.paper) {
+      std::printf(" %10s", FormatValue(row.op, metric, *row.paper).c_str());
+    }
+    std::printf("\n");
+  }
+  for (const auto& [group, matrix_title] : kMatrices) {
+    std::vector<const JobResult*> cols;
+    for (const JobResult& r : results) {
+      if (r.group == group) {
+        cols.push_back(&r);
+      }
+    }
+    if (cols.empty()) {
+      continue;
+    }
+    std::printf("\n%s\n  %-18s", matrix_title, "");
+    for (const JobResult* c : cols) {
+      std::printf(" %10s", c->name.c_str());
+    }
+    for (size_t m = 0; m < cols[0]->metrics.size(); ++m) {
+      const std::string& metric = cols[0]->metrics[m].name;
+      std::printf("\n  %-18s", metric.c_str());
+      for (const JobResult* c : cols) {
+        std::printf(" %*s", static_cast<int>(std::max<size_t>(10, c->name.size())),
+                    FormatValue(kValue, metric, c->metrics[m].value).c_str());
+      }
+    }
+    std::printf("\n");
+  }
+}
+
 // --- the pool ------------------------------------------------------------------
 
 // "group.name" with anything outside [A-Za-z0-9._-] replaced, so every job
@@ -824,7 +1034,8 @@ std::string JobFileStem(const Job& job) {
   return s;
 }
 
-// Flow/folded artifacts are plain strings built off-thread; write-all-or-log.
+// The results file and the flow/folded artifacts are plain strings; false
+// unless every byte reached the file.
 bool WriteTextFile(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -911,12 +1122,24 @@ int Run(const Options& opt) {
     }
     return 0;
   }
-  const std::string& out_path = opt.out_path;
   const std::string& trace_dir = opt.trace_dir;
   const std::string& pcap_dir = opt.pcap_dir;
   const std::string& stats_dir = opt.stats_dir;
   const std::string& flow_dir = opt.flow_dir;
+  // Requested artifacts that could not be written, named once every job has
+  // run: the paths per job (in job order), plus directories and the results file.
+  std::vector<std::string> failed;
+  for (const std::string* dir : {&trace_dir, &pcap_dir, &stats_dir, &flow_dir}) {
+    std::error_code ec;
+    if (!dir->empty()) {
+      std::filesystem::create_directories(*dir, ec);
+    }
+    if (ec) {
+      failed.push_back(*dir + " (" + ec.message() + ")");
+    }
+  }
   std::vector<JobResult> results(jobs.size());
+  std::vector<std::vector<std::string>> failed_writes(jobs.size());
   std::atomic<size_t> next{0};
 
   const auto suite_start = std::chrono::steady_clock::now();
@@ -956,22 +1179,32 @@ int Run(const Options& opt) {
       TraceSink::set_thread_default(nullptr);
       PacketCapture::set_thread_default(nullptr);
       StatSampler::set_thread_default(nullptr);
+      const std::string stem = JobFileStem(jobs[i]);
+      const auto write = [&](const std::string& dir, const char* suffix, const auto& fn) {
+        const std::string path = dir + "/" + stem + suffix;
+        if (!fn(path)) {
+          failed_writes[i].push_back(path);
+        }
+      };
       if (sink != nullptr && !trace_dir.empty()) {
-        (void)sink->WriteFile(trace_dir + "/" + JobFileStem(jobs[i]) + ".trace.jsonl");
+        write(trace_dir, ".trace.jsonl", [&](const std::string& p) { return sink->WriteFile(p); });
       }
       if (sink != nullptr && !flow_dir.empty()) {
         // Stitch the per-call causal graphs observer-side and write both flow
         // artifacts; both are deterministic functions of the (deterministic)
         // trace, so they join the byte-identity gates in scripts/check.sh.
         const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(sink->ToJsonl()));
-        WriteTextFile(flow_dir + "/" + JobFileStem(jobs[i]) + ".flow.jsonl", causal::ToFlowJsonl(fa));
-        WriteTextFile(flow_dir + "/" + JobFileStem(jobs[i]) + ".folded.txt", causal::ToFolded(fa));
+        write(flow_dir, ".flow.jsonl",
+              [&](const std::string& p) { return WriteTextFile(p, causal::ToFlowJsonl(fa)); });
+        write(flow_dir, ".folded.txt",
+              [&](const std::string& p) { return WriteTextFile(p, causal::ToFolded(fa)); });
       }
       if (capture != nullptr) {
-        (void)capture->WriteFile(pcap_dir + "/" + JobFileStem(jobs[i]) + ".pcap.jsonl");
+        write(pcap_dir, ".pcap.jsonl", [&](const std::string& p) { return capture->WriteFile(p); });
       }
       if (sampler != nullptr) {
-        (void)sampler->WriteFile(stats_dir + "/" + JobFileStem(jobs[i]) + ".stats.jsonl");
+        write(stats_dir, ".stats.jsonl",
+              [&](const std::string& p) { return sampler->WriteFile(p); });
       }
       r.group = jobs[i].group;
       r.name = jobs[i].name;
@@ -991,24 +1224,26 @@ int Run(const Options& opt) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(suite_end - suite_start).count();
 
-  const std::string json = ToJson(jobs, results, threads, wall_ms, opt.stable);
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_suite: cannot open %s for writing\n", out_path.c_str());
-    return 1;
+  for (const std::vector<std::string>& paths : failed_writes) {
+    failed.insert(failed.end(), paths.begin(), paths.end());
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  if (!WriteTextFile(opt.out_path, ToJson(jobs, results, threads, wall_ms, opt.stable))) {
+    failed.push_back(opt.out_path);
+  }
+  PrintReport(results);
 
   double serial_ms = 0;
   for (const JobResult& r : results) {
     serial_ms += r.wall_ms;
   }
-  std::printf("bench_suite: %zu jobs on %u threads in %.0f ms "
+  std::printf("\nbench_suite: %zu jobs on %u threads in %.0f ms "
               "(serial estimate %.0f ms, speedup %.2fx) -> %s\n",
               jobs.size(), threads, wall_ms, serial_ms,
-              wall_ms > 0 ? serial_ms / wall_ms : 0.0, out_path.c_str());
-  return 0;
+              wall_ms > 0 ? serial_ms / wall_ms : 0.0, opt.out_path.c_str());
+  for (const std::string& path : failed) {
+    std::fprintf(stderr, "bench_suite: failed to write %s\n", path.c_str());
+  }
+  return failed.empty() ? 0 : 1;
 }
 
 }  // namespace
@@ -1031,19 +1266,6 @@ int main(int argc, char** argv) {
                  "                             horizon=200ms -- runs datacenter.custom)\n",
                  argv[0]);
     return 2;
-  }
-  std::error_code ec;
-  if (!opt.trace_dir.empty()) {
-    std::filesystem::create_directories(opt.trace_dir, ec);
-  }
-  if (!opt.pcap_dir.empty()) {
-    std::filesystem::create_directories(opt.pcap_dir, ec);
-  }
-  if (!opt.stats_dir.empty()) {
-    std::filesystem::create_directories(opt.stats_dir, ec);
-  }
-  if (!opt.flow_dir.empty()) {
-    std::filesystem::create_directories(opt.flow_dir, ec);
   }
   return xk::Run(opt);
 }

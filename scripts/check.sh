@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the regular build + test suite, then an
 # ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
-# a short run of each host-time benchmark workload, observability
+# a trace capture -> analyze smoke, a failed-write negative case, a short run
+# of each host-time benchmark workload, observability and report
 # determinism diffs across worker thread counts, the regression, chaos,
 # datacenter, overload and soak gates, and a TSan pass over bench_suite's
 # job pool (its only concurrency).
@@ -42,12 +43,41 @@ echo
 echo "== observability smoke: capture -> analyze =="
 obs=$(mktemp -d)
 trap 'rm -rf "$obs"' EXIT
-./build/bench/bench_table3_layer_costs \
-  --trace="$obs/t3.trace.jsonl" --pcap="$obs/t3.pcap.jsonl" >/dev/null
-[[ -s "$obs/t3.trace.jsonl" && -s "$obs/t3.pcap.jsonl" ]]
-./build/src/xktrace "$obs/t3.trace.jsonl" > "$obs/t3.breakdown.txt"
+# Table III's depth sweep, traced and captured per job, then analyzed: the
+# per-layer breakdown of one trace, and the layer deltas re-derived from the
+# three depth traces alone (paper: FRAGMENT +0.21 ms, CHANNEL +0.49 ms).
+./build/bench/bench_suite --filter='^table3_layer_costs\.' --stable --out="$obs/t3.json" \
+  --trace="$obs/t3trace" --pcap="$obs/t3pcap" >/dev/null
+t3=()  # the depth sweep's traces, shallowest first
+for d in VIP FRAGMENT-VIP CHANNEL-FRAGMENT-VIP; do
+  t3+=("$obs/t3trace/table3_layer_costs.$d.trace.jsonl")
+  [[ -s "${t3[-1]}" && -s "$obs/t3pcap/table3_layer_costs.$d.pcap.jsonl" ]]
+done
+./build/src/xktrace "${t3[-1]}" > "$obs/t3.breakdown.txt"
 [[ -s "$obs/t3.breakdown.txt" ]]
 grep -q "per-call" "$obs/t3.breakdown.txt"
+./build/src/xktrace --layer-costs "${t3[@]}" > "$obs/t3.layers.txt"
+awk '$1 ~ /\.FRAGMENT-VIP\.trace/ { f = $4 } $1 ~ /-FRAGMENT-VIP\.trace/ { c = $4 }
+     END {
+       if (!(f > 157 && f < 263 && c > 367 && c < 613)) {
+         printf "FAIL: xktrace layer deltas FRAGMENT %s us, CHANNEL %s us\n", f, c; exit 1;
+       }
+       printf "xktrace layer deltas: FRAGMENT +%s us, CHANNEL +%s us\n", f, c;
+     }' "$obs/t3.layers.txt"
+
+echo
+echo "== artifact writes: a failed write fails the run =="
+# A --trace= directory below a regular file can be neither created nor
+# written: bench_suite must name the lost path on stderr and exit non-zero.
+touch "$obs/regular-file"
+if ./build/bench/bench_suite --filter='^table3_layer_costs\.VIP$' --stable \
+    --out="$obs/wf.json" --trace="$obs/regular-file/traces" >/dev/null 2>"$obs/wf.err"; then
+  echo "FAIL: bench_suite exited 0 with an unwritable --trace= directory"
+  exit 1
+fi
+grep -q "regular-file/traces/table3_layer_costs.VIP.trace.jsonl" "$obs/wf.err" \
+  || { echo "FAIL: bench_suite did not name the unwritten trace"; cat "$obs/wf.err"; exit 1; }
+echo "negative test: unwritable --trace= path named and rejected"
 
 echo
 echo "== host-time benchmark smoke: perfbench builds and runs =="
@@ -69,13 +99,19 @@ echo "== observability determinism: bench_suite bit-identical at 1/2/4 threads =
 for t in 1 2 4; do
   ./build/bench/bench_suite --threads="$t" --stable --out="$obs/r$t.json" \
     --trace="$obs/trace$t" --pcap="$obs/pcap$t" --stats="$obs/stats$t" \
-    --flow="$obs/flow$t" >/dev/null
+    --flow="$obs/flow$t" >"$obs/report$t.txt"
 done
 cmp "$obs/r1.json" "$obs/r2.json"
 cmp "$obs/r1.json" "$obs/r4.json"
 # Zero observer effect: an unobserved run reports the same simulated metrics.
-./build/bench/bench_suite --threads=4 --stable --out="$obs/plain.json" >/dev/null
+./build/bench/bench_suite --threads=4 --stable --out="$obs/plain.json" >"$obs/report_plain.txt"
 cmp "$obs/r1.json" "$obs/plain.json"
+# The same for the paper-vs-measured report on stdout, once the wall-clock
+# summary line is dropped.
+grep -q "Table III: Cost of Individual RPC Layers" "$obs/report1.txt"
+for r in report2 report4 report_plain; do
+  diff <(grep -v '^bench_suite: ' "$obs/report1.txt") <(grep -v '^bench_suite: ' "$obs/$r.txt")
+done
 diff -r "$obs/trace1" "$obs/trace2"
 diff -r "$obs/trace1" "$obs/trace4"
 diff -r "$obs/pcap1" "$obs/pcap2"

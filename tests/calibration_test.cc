@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.h"
-#include "src/proto/udp.h"
 
 namespace xk {
 namespace {
@@ -17,18 +16,16 @@ namespace {
 // Measured once, shared across the assertions below.
 struct Measurements {
   ConfigResult n_rpc = RpcBench::Measure(
-      "N_RPC", [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); },
-      HostEnv::kNativeSprite);
+      [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); }, HostEnv::kNativeSprite);
   ConfigResult m_eth =
-      RpcBench::Measure("M_RPC-ETH", [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); });
+      RpcBench::Measure([](HostStack& h) { return BuildMRpc(h, Delivery::kEth); });
   ConfigResult m_ip =
-      RpcBench::Measure("M_RPC-IP", [](HostStack& h) { return BuildMRpc(h, Delivery::kIp); });
+      RpcBench::Measure([](HostStack& h) { return BuildMRpc(h, Delivery::kIp); });
   ConfigResult m_vip =
-      RpcBench::Measure("M_RPC-VIP", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
+      RpcBench::Measure([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
   ConfigResult l_vip =
-      RpcBench::Measure("L_RPC-VIP", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
-  ConfigResult dynamic = RpcBench::Measure(
-      "SELECT-CHANNEL-VIPsize", [](HostStack& h) { return BuildLRpcDynamic(h); });
+      RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  ConfigResult dynamic = RpcBench::Measure([](HostStack& h) { return BuildLRpcDynamic(h); });
 };
 
 const Measurements& M() {
@@ -122,41 +119,9 @@ TEST(ShapeSec43, BypassingFragmentRecoversMonolithicLatency) {
 
 // --- Section 1 (UDP cross-kernel) ------------------------------------------------
 
-double UdpEchoMs(HostEnv env) {
-  auto net = Internet::TwoHosts(env);
-  auto& ch = net->host("client");
-  auto& sh = net->host("server");
-  UdpProtocol* cudp = BuildUdp(ch);
-  UdpProtocol* sudp = BuildUdp(sh);
-  EchoAnchor* client = nullptr;
-  ch.kernel->RunTask(0, [&] {
-    client = &ch.kernel->Emplace<EchoAnchor>(*ch.kernel, false);
-    client->set_app_cost(ch.kernel->costs().user_kernel_cross);
-  });
-  sh.kernel->RunTask(0, [&] {
-    auto& server = sh.kernel->Emplace<EchoAnchor>(*sh.kernel, true);
-    server.set_app_cost(2 * sh.kernel->costs().user_kernel_cross);
-    ParticipantSet enable;
-    enable.local.port = 7;
-    (void)sudp->OpenEnable(server, enable);
-  });
-  SessionRef sess;
-  ch.kernel->RunTask(0, [&] {
-    ParticipantSet parts;
-    parts.local.port = 9;
-    parts.peer.host = sh.kernel->ip_addr();
-    parts.peer.port = 7;
-    sess = *cudp->Open(*client, parts);
-  });
-  CallFn call = [&](Message args, std::function<void(Result<Message>)> done) {
-    client->Send(sess, std::move(args), std::move(done));
-  };
-  return ToMsec(RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 32).per_call);
-}
-
 TEST(ShapeSec1, UdpCrossKernelRatio) {
-  const double xk = UdpEchoMs(HostEnv::kXKernel);
-  const double sunos = UdpEchoMs(HostEnv::kSunOs);
+  const double xk = MeasureUdpEcho(HostEnv::kXKernel).ms;
+  const double sunos = MeasureUdpEcho(HostEnv::kSunOs).ms;
   EXPECT_NEAR(xk, 2.00, 0.25);
   EXPECT_NEAR(sunos, 5.36, 0.90);
   EXPECT_GT(sunos / xk, 2.0);  // paper: 2.68x
@@ -168,10 +133,10 @@ TEST(ShapeSec1, UdpCrossKernelRatio) {
 TEST(ShapeAblation, PerLayerAllocMuchWorse) {
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
   ConfigResult adjust =
-      RpcBench::Measure("L_RPC", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+      RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPerLayerAlloc);
   ConfigResult alloc =
-      RpcBench::Measure("L_RPC-old", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+      RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
   // The paper: 0.11 -> 0.50 per layer, i.e. roughly +0.39/layer. Over the
   // whole stack (and the anchors' headers) the penalty is >1 ms of latency.
@@ -182,9 +147,9 @@ TEST(ShapeAblation, PerLayerAllocMuchWorse) {
 
 TEST(ShapeDeterminism, RepeatedMeasurementIsBitIdentical) {
   ConfigResult a =
-      RpcBench::Measure("x", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
+      RpcBench::Measure([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
   ConfigResult b =
-      RpcBench::Measure("x", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
+      RpcBench::Measure([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
   EXPECT_EQ(a.latency_ms, b.latency_ms);
   EXPECT_EQ(a.throughput_kbs, b.throughput_kbs);
 }
