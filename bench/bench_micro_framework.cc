@@ -7,15 +7,23 @@
 //    here in host nanoseconds);
 //  * demultiplexing is one map lookup;
 //  * the discrete-event core itself is cheap enough that simulated results
-//    are not distorted by harness costs.
+//    are not distorted by harness costs;
+//  * a traced run explains itself cheaply: serializing, parsing and stitching
+//    its trace (the three host-side phases after recording).
 
 #include <benchmark/benchmark.h>
+
+#include <functional>
+#include <memory>
 
 #include "src/app/stacks.h"
 #include "src/core/map.h"
 #include "src/core/message.h"
 #include "src/proto/topology.h"
 #include "src/sim/event_queue.h"
+#include "src/tools/trace_reader.h"
+#include "src/trace/causal.h"
+#include "src/trace/trace.h"
 
 namespace xk {
 namespace {
@@ -148,6 +156,85 @@ void BM_FullNullRpcSimulated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullNullRpcSimulated);
+
+// A fixed trace slice, recorded once: 400 null L_RPC-VIP calls on the two-host
+// testbed, one in flight, each bracketed by issue/done events so the stitcher
+// finds one flow per call.
+const TraceSink& TraceSlice() {
+  static const std::unique_ptr<TraceSink> slice = [] {
+    constexpr uint64_t kCalls = 400;
+    auto sink = std::make_unique<TraceSink>();
+    TraceSink::set_thread_default(sink.get());
+    auto net = Internet::TwoHosts();
+    TraceSink::set_thread_default(nullptr);
+    Kernel& ck = *net->host("client").kernel;
+    Kernel& sk = *net->host("server").kernel;
+    RpcStack cs = BuildLRpc(net->host("client"), Delivery::kVip);
+    RpcStack ss = BuildLRpc(net->host("server"), Delivery::kVip);
+    RpcClient* client = nullptr;
+    ck.RunTask(0, [&] { client = &ck.Emplace<RpcClient>(ck, cs.top); });
+    sk.RunTask(0, [&] {
+      auto& server = sk.Emplace<RpcServer>(sk, ss.top);
+      (void)server.Export(RpcServer::kAny, [](uint16_t, Message&) { return Message(); });
+    });
+    uint64_t next = 1;
+    std::function<void()> issue = [&] {
+      const uint64_t id = next++;
+      Message args;
+      sink->RecordEvent(ck, TraceOp::kIssue, "micro", ck.now(), id, &args, nullptr, 0);
+      client->Call(sk.ip_addr(), 1, std::move(args), [&, id](Result<Message> r) {
+        sink->RecordEvent(ck, TraceOp::kDone, "micro", ck.now(), id, r.ok() ? &*r : nullptr,
+                          nullptr, 0);
+        if (next <= kCalls) {
+          issue();
+        }
+      });
+    };
+    ck.RunTask(0, issue);
+    net->RunAll();
+    return sink;
+  }();
+  return *slice;
+}
+
+void BM_TraceSerialize(benchmark::State& state) {
+  const TraceSink& sink = TraceSlice();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = sink.ToJsonl();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_TraceSerialize);
+
+void BM_TraceParse(benchmark::State& state) {
+  const std::string text = TraceSlice().ToJsonl();
+  for (auto _ : state) {
+    const tracetool::TraceFile tf = tracetool::Parse(text);
+    benchmark::DoNotOptimize(tf.spans.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_TraceParse);
+
+void BM_TraceStitch(benchmark::State& state) {
+  const std::string text = TraceSlice().ToJsonl();
+  const tracetool::TraceFile tf = tracetool::Parse(text);
+  size_t flows = 0;
+  for (auto _ : state) {
+    const causal::FlowAnalysis fa = causal::Stitch(tf);
+    flows = fa.calls.size();
+    benchmark::DoNotOptimize(fa.calls.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(text.size()));
+  state.counters["flows"] = static_cast<double>(flows);
+}
+BENCHMARK(BM_TraceStitch);
 
 }  // namespace
 }  // namespace xk

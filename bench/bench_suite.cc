@@ -13,8 +13,8 @@
 // builds its own Internet (one EventQueue, kernels, and sessions), runs it on
 // one thread, and shares nothing mutable with other jobs, so the results --
 // and the report -- are identical at any --threads. Only the host-side
-// wall-clock fields (wall_ms, events_per_sec, parallel_speedup) vary run to
-// run.
+// wall-clock fields (wall_ms, artifact_ms, events_per_sec, parallel_speedup)
+// vary run to run.
 
 #include <atomic>
 #include <cctype>
@@ -49,7 +49,8 @@ struct JobResult {
   std::string name;
   std::vector<Metric> metrics;
   uint64_t events_fired = 0;
-  double wall_ms = 0;  // host time, measured by the job runner
+  double wall_ms = 0;      // host time of the job itself, measured by the job runner
+  double artifact_ms = 0;  // host time writing its artifacts and stitching its flows
   Histogram latency_hist;  // per-call round trips ("percentiles" block)
   Histogram service_hist;  // server-side service times ("service_percentiles")
   std::string extra_json;  // extra deterministic fields, e.g. "segments": [...]
@@ -744,7 +745,7 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   double serial_ms = 0;
   uint64_t events_total = 0;
   for (const JobResult& r : results) {
-    serial_ms += r.wall_ms;
+    serial_ms += r.wall_ms + r.artifact_ms;
     events_total += r.events_fired;
   }
   std::string out;
@@ -781,6 +782,8 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
     if (!stable) {
       out += ", \"wall_ms\": ";
       AppendJsonNumber(out, r.wall_ms, "%.1f");
+      out += ", \"artifact_ms\": ";
+      AppendJsonNumber(out, r.artifact_ms, "%.1f");
       for (const Metric& m : r.host_metrics) {
         out += ", ";
         AppendJsonString(out, m.name);
@@ -1186,14 +1189,17 @@ int Run(const Options& opt) {
           failed_writes[i].push_back(path);
         }
       };
+      // The trace is serialized once: written for --trace, parsed for --flow.
+      const std::string jsonl = sink != nullptr ? sink->ToJsonl() : std::string();
       if (sink != nullptr && !trace_dir.empty()) {
-        write(trace_dir, ".trace.jsonl", [&](const std::string& p) { return sink->WriteFile(p); });
+        write(trace_dir, ".trace.jsonl",
+              [&](const std::string& p) { return WriteTextFile(p, jsonl); });
       }
       if (sink != nullptr && !flow_dir.empty()) {
         // Stitch the per-call causal graphs observer-side and write both flow
         // artifacts; both are deterministic functions of the (deterministic)
         // trace, so they join the byte-identity gates in scripts/check.sh.
-        const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(sink->ToJsonl()));
+        const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(jsonl));
         write(flow_dir, ".flow.jsonl",
               [&](const std::string& p) { return WriteTextFile(p, causal::ToFlowJsonl(fa)); });
         write(flow_dir, ".folded.txt",
@@ -1209,6 +1215,9 @@ int Run(const Options& opt) {
       r.group = jobs[i].group;
       r.name = jobs[i].name;
       r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+      r.artifact_ms =
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - end)
+              .count();
       results[i] = std::move(r);
     }
   };
@@ -1232,13 +1241,16 @@ int Run(const Options& opt) {
   }
   PrintReport(results);
 
-  double serial_ms = 0;
+  double run_ms = 0;
+  double artifact_ms = 0;
   for (const JobResult& r : results) {
-    serial_ms += r.wall_ms;
+    run_ms += r.wall_ms;
+    artifact_ms += r.artifact_ms;
   }
+  const double serial_ms = run_ms + artifact_ms;
   std::printf("\nbench_suite: %zu jobs on %u threads in %.0f ms "
-              "(serial estimate %.0f ms, speedup %.2fx) -> %s\n",
-              jobs.size(), threads, wall_ms, serial_ms,
+              "(serial estimate %.0f ms: run %.0f ms + artifacts %.0f ms, speedup %.2fx) -> %s\n",
+              jobs.size(), threads, wall_ms, serial_ms, run_ms, artifact_ms,
               wall_ms > 0 ? serial_ms / wall_ms : 0.0, opt.out_path.c_str());
   for (const std::string& path : failed) {
     std::fprintf(stderr, "bench_suite: failed to write %s\n", path.c_str());

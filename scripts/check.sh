@@ -3,7 +3,8 @@
 # ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
 # a trace capture -> analyze smoke, a failed-write negative case, a short run
 # of each host-time benchmark workload, observability and report
-# determinism diffs across worker thread counts, the regression, chaos,
+# determinism diffs across worker thread counts, xkflow's on-disk trace
+# reading checked against the in-memory flow files, the regression, chaos,
 # datacenter, overload and soak gates, and a TSan pass over bench_suite's
 # job pool (its only concurrency).
 #
@@ -120,6 +121,27 @@ diff -r "$obs/stats1" "$obs/stats2"
 diff -r "$obs/stats1" "$obs/stats4"
 diff -r "$obs/flow1" "$obs/flow2"
 diff -r "$obs/flow1" "$obs/flow4"
+
+echo
+echo "== xkflow from disk: Load + Stitch of each trace reproduces its flow files =="
+# bench_suite stitched the flow files from the serialized trace in memory
+# (Parse); xkflow reads the written trace back from disk (Load). Both paths
+# must agree byte for byte. A trace that holds only its meta line (the
+# manyhost.traced job parks the suite's sink) is skipped: xkflow rejects it
+# as empty.
+checked=0
+for f in "$obs"/flow1/*.flow.jsonl; do
+  stem=$(basename "$f" .flow.jsonl)
+  t="$obs/trace1/$stem.trace.jsonl"
+  [[ $(wc -l <"$t") -gt 1 ]] || continue
+  ./build/src/xkflow "$t" --flow >"$obs/disk.flow.jsonl"
+  cmp "$obs/disk.flow.jsonl" "$f"
+  ./build/src/xkflow "$t" --folded >"$obs/disk.folded.txt"
+  cmp "$obs/disk.folded.txt" "$obs/flow1/$stem.folded.txt"
+  checked=$((checked + 1))
+done
+[[ $checked -gt 0 ]] || { echo "FAIL: no flow files to check"; exit 1; }
+echo "xkflow --flow/--folded match bench_suite's flow files for $checked traces"
 
 echo
 echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="

@@ -3,7 +3,10 @@
 // Header-only and std-only so both the xktrace CLI and the tests can consume
 // traces without linking anything beyond the standard library. The parser
 // handles exactly the shape TraceSink writes: one flat JSON object per line
-// whose values are either quoted strings or decimal integers.
+// whose values are either quoted strings or decimal integers. It makes one
+// pass over the buffer and allocates nothing per line beyond the records it
+// keeps: keys are matched in place to fixed field slots, and a string is
+// copied aside only when it holds an escape.
 
 #ifndef XK_SRC_TOOLS_TRACE_READER_H_
 #define XK_SRC_TOOLS_TRACE_READER_H_
@@ -11,8 +14,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -80,39 +85,117 @@ struct TraceFile {
 
 namespace detail {
 
-inline bool ParseQuoted(const std::string& s, size_t& i, std::string& out) {
-  if (i >= s.size() || s[i] != '"') {
-    return false;
+// The fields a trace line can carry, one slot per key. Kinds that share a key
+// ("t0", "msg", "len", ...) share its slot. Slots below kNumStr take string
+// values, the rest integers; a value of the other type reads as absent.
+enum Slot : int {
+  kKind, kHost, kProto, kOp, kStatus, kText, kNumStr,
+  kSess = kNumStr, kMsg, kLen, kT0, kT1, kIncl, kExcl, kDepth, kSeg, kArrive, kQd, kQw,
+  kT, kCall, kDetail, kLevel, kDropped, kNumSlots,
+  kNoSlot = -1,
+};
+
+inline Slot SlotOf(std::string_view k) {
+  switch (k.size()) {
+    case 1:
+      return k[0] == 'k' ? kKind : k[0] == 't' ? kT : kNoSlot;
+    case 2:
+      switch (k[0]) {
+        case 'o': return k == "op" ? kOp : kNoSlot;
+        case 't': return k[1] == '0' ? kT0 : k[1] == '1' ? kT1 : kNoSlot;
+        case 'q': return k[1] == 'd' ? kQd : k[1] == 'w' ? kQw : kNoSlot;
+      }
+      return kNoSlot;
+    case 3:
+      switch (k[0]) {
+        case 'm': return k == "msg" ? kMsg : kNoSlot;
+        case 'l': return k == "len" ? kLen : kNoSlot;
+        case 's': return k == "seg" ? kSeg : kNoSlot;
+      }
+      return kNoSlot;
+    case 4:
+      switch (k[0]) {
+        case 'h': return k == "host" ? kHost : kNoSlot;
+        case 's': return k == "sess" ? kSess : kNoSlot;
+        case 'i': return k == "incl" ? kIncl : kNoSlot;
+        case 'e': return k == "excl" ? kExcl : kNoSlot;
+        case 'c': return k == "call" ? kCall : kNoSlot;
+        case 't': return k == "text" ? kText : kNoSlot;
+      }
+      return kNoSlot;
+    case 5:
+      switch (k[0]) {
+        case 'p': return k == "proto" ? kProto : kNoSlot;
+        case 'd': return k == "depth" ? kDepth : kNoSlot;
+        case 'l': return k == "level" ? kLevel : kNoSlot;
+      }
+      return kNoSlot;
+    case 6:
+      switch (k[0]) {
+        case 's': return k == "status" ? kStatus : kNoSlot;
+        case 'a': return k == "arrive" ? kArrive : kNoSlot;
+        case 'd': return k == "detail" ? kDetail : kNoSlot;
+      }
+      return kNoSlot;
+    case 7:
+      return k == "dropped" ? kDropped : kNoSlot;
   }
-  ++i;
-  out.clear();
-  while (i < s.size()) {
-    const char c = s[i++];
+  return kNoSlot;
+}
+
+// One parsed line. String values are views into the line, or into `scratch`
+// when they held escapes; the buffers are reused line after line.
+struct Line {
+  uint32_t seen = 0;  // bit per slot: first occurrence already taken
+  std::string_view str[kNumStr];
+  int64_t num[kNumSlots] = {};
+  std::string scratch[kNumStr + 1];  // the last one decodes keys and skipped values
+
+  std::string_view s(Slot i) const { return (seen >> i & 1) != 0 ? str[i] : std::string_view(); }
+  int64_t n(Slot i) const { return (seen >> i & 1) != 0 ? num[i] : 0; }
+  uint64_t u(Slot i) const { return static_cast<uint64_t>(n(i)); }
+};
+
+// Scans the quoted string at `p` (which points at its opening quote) and
+// returns the position past the closing quote, or nullptr if it is malformed.
+inline const char* ScanString(const char* p, const char* end, std::string_view* out,
+                              std::string* scratch) {
+  const char* start = ++p;
+  while (p < end && *p != '"' && *p != '\\') {
+    ++p;
+  }
+  if (p < end && *p == '"') {
+    *out = std::string_view(start, static_cast<size_t>(p - start));
+    return p + 1;
+  }
+  scratch->assign(start, p);
+  while (p < end) {
+    const char c = *p++;
     if (c == '"') {
-      return true;
+      *out = *scratch;
+      return p;
     }
     if (c != '\\') {
-      out += c;
+      *scratch += c;
       continue;
     }
-    if (i >= s.size()) {
-      return false;
+    if (p >= end) {
+      return nullptr;
     }
-    const char e = s[i++];
-    switch (e) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
+    switch (*p++) {
+      case '"': *scratch += '"'; break;
+      case '\\': *scratch += '\\'; break;
+      case '/': *scratch += '/'; break;
+      case 'n': *scratch += '\n'; break;
+      case 'r': *scratch += '\r'; break;
+      case 't': *scratch += '\t'; break;
       case 'u': {
-        if (i + 4 > s.size()) {
-          return false;
+        if (end - p < 4) {
+          return nullptr;
         }
         unsigned v = 0;
         for (int k = 0; k < 4; ++k) {
-          const char h = s[i++];
+          const char h = *p++;
           v <<= 4;
           if (h >= '0' && h <= '9') {
             v |= static_cast<unsigned>(h - '0');
@@ -121,167 +204,144 @@ inline bool ParseQuoted(const std::string& s, size_t& i, std::string& out) {
           } else if (h >= 'A' && h <= 'F') {
             v |= static_cast<unsigned>(h - 'A' + 10);
           } else {
-            return false;
+            return nullptr;
           }
         }
-        out += static_cast<char>(v);  // the writer only emits \u00xx
+        *scratch += static_cast<char>(v);  // the writer only emits \u00xx
         break;
       }
       default:
-        return false;
+        return nullptr;
     }
   }
-  return false;
+  return nullptr;
 }
 
-// A flat object's fields, split by value type.
-struct FlatObj {
-  std::vector<std::pair<std::string, std::string>> strs;
-  std::vector<std::pair<std::string, int64_t>> ints;
-
-  const std::string* str(const char* key) const {
-    for (const auto& [k, v] : strs) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
+// Parses the flat object in [p, end): `{"key":value,...}` with no whitespace
+// but before the brace, commas optional between fields, anything after the
+// closing brace ignored, and each value a quoted string or a decimal integer
+// (wrapping mod 2^64). False on anything else.
+inline bool ParseLine(const char* p, const char* end, Line& line) {
+  line.seen = 0;
+  while (p < end && (*p == ' ' || *p == '\t')) {
+    ++p;
   }
-  int64_t num(const char* key) const {
-    for (const auto& [k, v] : ints) {
-      if (k == key) {
-        return v;
-      }
-    }
-    return 0;
-  }
-};
-
-inline bool ParseFlatObject(const std::string& line, FlatObj& obj) {
-  size_t i = 0;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-    ++i;
-  }
-  if (i >= line.size() || line[i] != '{') {
+  if (p >= end || *p != '{') {
     return false;
   }
-  ++i;
-  std::string key;
-  std::string sval;
-  while (i < line.size()) {
-    if (line[i] == '}') {
+  ++p;
+  std::string* const skip = &line.scratch[kNumStr];
+  std::string_view key;
+  while (p < end) {
+    if (*p == '}') {
       return true;
     }
-    if (line[i] == ',') {
-      ++i;
+    if (*p == ',') {
+      ++p;
       continue;
     }
-    if (!ParseQuoted(line, i, key)) {
+    if (*p != '"' || (p = ScanString(p, end, &key, skip)) == nullptr) {
       return false;
     }
-    if (i >= line.size() || line[i] != ':') {
+    if (p >= end || *p != ':') {
       return false;
     }
-    ++i;
-    if (i < line.size() && line[i] == '"') {
-      if (!ParseQuoted(line, i, sval)) {
+    ++p;
+    const Slot slot = SlotOf(key);
+    const bool open_slot = slot != kNoSlot && (line.seen >> slot & 1) == 0;
+    if (p < end && *p == '"') {
+      const bool take = open_slot && slot < kNumStr;
+      std::string_view v;
+      if ((p = ScanString(p, end, &v, take ? &line.scratch[slot] : skip)) == nullptr) {
         return false;
       }
-      obj.strs.emplace_back(key, sval);
-    } else {
-      bool neg = false;
-      if (i < line.size() && line[i] == '-') {
-        neg = true;
-        ++i;
+      if (take) {
+        line.str[slot] = v;
+        line.seen |= 1u << slot;
       }
-      if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-        return false;
-      }
-      int64_t v = 0;
-      while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        v = v * 10 + (line[i] - '0');
-        ++i;
-      }
-      obj.ints.emplace_back(key, neg ? -v : v);
+      continue;
+    }
+    const bool neg = p < end && *p == '-';
+    p += neg ? 1 : 0;
+    if (p >= end || *p < '0' || *p > '9') {
+      return false;
+    }
+    uint64_t v = 0;
+    while (p < end && *p >= '0' && *p <= '9') {
+      v = v * 10 + static_cast<uint64_t>(*p++ - '0');
+    }
+    if (open_slot && slot >= kNumStr) {
+      line.num[slot] = static_cast<int64_t>(neg ? 0 - v : v);
+      line.seen |= 1u << slot;
     }
   }
   return false;
-}
-
-inline std::string StrOr(const FlatObj& o, const char* key) {
-  const std::string* s = o.str(key);
-  return s != nullptr ? *s : std::string();
 }
 
 }  // namespace detail
 
-// Parses a whole JSONL trace. Unknown record kinds and malformed lines are
-// skipped so newer writers stay readable.
-inline TraceFile Parse(const std::string& text) {
+// Parses a whole JSONL trace in one pass. Unknown record kinds and malformed
+// lines are skipped so newer writers stay readable. Within a line the first
+// occurrence of a key wins, a value of the wrong type reads as absent, and
+// "k" may come anywhere.
+inline TraceFile Parse(std::string_view text) {
+  using namespace detail;
   TraceFile tf;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      nl = text.size();
-    }
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) {
+  Line f;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p < end) {
+    const char* nl = static_cast<const char*>(std::memchr(p, '\n', static_cast<size_t>(end - p)));
+    const char* const eol = nl != nullptr ? nl : end;
+    const bool ok = ParseLine(p, eol, f);
+    p = nl != nullptr ? nl + 1 : end;
+    if (!ok) {
       continue;
     }
-    detail::FlatObj o;
-    if (!detail::ParseFlatObject(line, o)) {
-      continue;
-    }
-    const std::string kind = detail::StrOr(o, "k");
+    const std::string_view kind = f.s(kKind);
     if (kind == "span") {
-      SpanRec r;
-      r.host = detail::StrOr(o, "host");
-      r.proto = detail::StrOr(o, "proto");
-      r.op = detail::StrOr(o, "op");
-      r.status = detail::StrOr(o, "status");
-      r.sess = static_cast<uint64_t>(o.num("sess"));
-      r.msg = static_cast<uint64_t>(o.num("msg"));
-      r.len = static_cast<uint64_t>(o.num("len"));
-      r.t0 = o.num("t0");
-      r.t1 = o.num("t1");
-      r.incl = o.num("incl");
-      r.excl = o.num("excl");
-      r.depth = static_cast<uint64_t>(o.num("depth"));
-      tf.spans.push_back(std::move(r));
+      SpanRec& r = tf.spans.emplace_back();
+      r.host = f.s(kHost);
+      r.proto = f.s(kProto);
+      r.op = f.s(kOp);
+      r.status = f.s(kStatus);
+      r.sess = f.u(kSess);
+      r.msg = f.u(kMsg);
+      r.len = f.u(kLen);
+      r.t0 = f.n(kT0);
+      r.t1 = f.n(kT1);
+      r.incl = f.n(kIncl);
+      r.excl = f.n(kExcl);
+      r.depth = f.u(kDepth);
     } else if (kind == "wire") {
-      WireRec r;
-      r.seg = o.num("seg");
-      r.t0 = o.num("t0");
-      r.t1 = o.num("t1");
-      r.arrive = o.num("arrive");
-      r.len = static_cast<uint64_t>(o.num("len"));
-      r.qdepth = static_cast<uint64_t>(o.num("qd"));
-      r.qwait = o.num("qw");
-      r.msg = static_cast<uint64_t>(o.num("msg"));
-      tf.wires.push_back(r);
+      WireRec& r = tf.wires.emplace_back();
+      r.seg = f.n(kSeg);
+      r.t0 = f.n(kT0);
+      r.t1 = f.n(kT1);
+      r.arrive = f.n(kArrive);
+      r.len = f.u(kLen);
+      r.qdepth = f.u(kQd);
+      r.qwait = f.n(kQw);
+      r.msg = f.u(kMsg);
     } else if (kind == "ev") {
-      EventRec r;
-      r.host = detail::StrOr(o, "host");
-      r.proto = detail::StrOr(o, "proto");
-      r.op = detail::StrOr(o, "op");
-      r.status = detail::StrOr(o, "status");
-      r.t = o.num("t");
-      r.call = static_cast<uint64_t>(o.num("call"));
-      r.msg = static_cast<uint64_t>(o.num("msg"));
-      r.sess = static_cast<uint64_t>(o.num("sess"));
-      r.detail = static_cast<uint64_t>(o.num("detail"));
-      tf.events.push_back(std::move(r));
+      EventRec& r = tf.events.emplace_back();
+      r.host = f.s(kHost);
+      r.proto = f.s(kProto);
+      r.op = f.s(kOp);
+      r.status = f.s(kStatus);
+      r.t = f.n(kT);
+      r.call = f.u(kCall);
+      r.msg = f.u(kMsg);
+      r.sess = f.u(kSess);
+      r.detail = f.u(kDetail);
     } else if (kind == "log") {
-      LogRec r;
-      r.host = detail::StrOr(o, "host");
-      r.text = detail::StrOr(o, "text");
-      r.t = o.num("t");
-      r.level = o.num("level");
-      tf.logs.push_back(std::move(r));
+      LogRec& r = tf.logs.emplace_back();
+      r.host = f.s(kHost);
+      r.text = f.s(kText);
+      r.t = f.n(kT);
+      r.level = f.n(kLevel);
     } else if (kind == "meta") {
-      tf.dropped += static_cast<uint64_t>(o.num("dropped"));
+      tf.dropped += f.u(kDropped);
     }
   }
   return tf;
@@ -293,7 +353,14 @@ inline TraceFile Load(const std::string& path) {
   if (f == nullptr) {
     return {};
   }
+  // One read sized to the file; a pipe or other unsized input is read to EOF.
   std::string text;
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    text.resize(size > 0 ? static_cast<size_t>(size) : 0);
+    std::rewind(f);
+  }
+  text.resize(std::fread(text.data(), 1, text.size(), f));
   char buf[1 << 16];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {

@@ -1,7 +1,6 @@
 #include "src/trace/trace.h"
 
 #include <cassert>
-#include <cstdio>
 
 #include "src/core/kernel.h"
 #include "src/core/message.h"
@@ -199,69 +198,65 @@ void TraceSink::Clear() {
 std::string TraceSink::ToJsonl() const {
   std::string out;
   out.reserve(records_.size() * 96 + 128);
-  out += "{\"k\":\"meta\",\"v\":1,\"records\":" + std::to_string(records_.size()) +
-         ",\"dropped\":" + std::to_string(dropped_) + "}\n";
+  // Each field goes out as a pre-built `,"key":` literal and its value.
+  const auto num = [&out](std::string_view key, auto value) {
+    out += key;
+    JsonAppendInt(out, value);
+  };
+  const auto str = [&out](std::string_view key, std::string_view value) {
+    out += key;
+    JsonAppendEscaped(out, value);
+  };
+  num("{\"k\":\"meta\",\"v\":1,\"records\":", records_.size());
+  num(",\"dropped\":", dropped_);
+  out += "}\n";
   for (const Record& r : records_) {
     switch (r.kind) {
       case Record::Kind::kSpan:
-        out += "{\"k\":\"span\"";
-        JsonAppendField(out, "host", names_[r.host]);
-        JsonAppendField(out, "proto", names_[r.proto]);
-        JsonAppendField(out, "op", TraceOpName(r.op));
-        JsonAppendField(out, "sess", r.sess);
-        JsonAppendField(out, "msg", r.msg);
-        JsonAppendField(out, "len", r.len);
-        JsonAppendField(out, "t0", r.t0);
-        JsonAppendField(out, "t1", r.t1);
-        JsonAppendField(out, "incl", r.incl);
-        JsonAppendField(out, "excl", r.excl);
-        JsonAppendField(out, "depth", static_cast<uint64_t>(r.depth));
-        JsonAppendField(out, "status", StatusCodeName(r.status));
+        str("{\"k\":\"span\",\"host\":", names_[r.host]);
+        str(",\"proto\":", names_[r.proto]);
+        str(",\"op\":", TraceOpName(r.op));
+        num(",\"sess\":", r.sess);
+        num(",\"msg\":", r.msg);
+        num(",\"len\":", r.len);
+        num(",\"t0\":", r.t0);
+        num(",\"t1\":", r.t1);
+        num(",\"incl\":", r.incl);
+        num(",\"excl\":", r.excl);
+        num(",\"depth\":", r.depth);
+        str(",\"status\":", StatusCodeName(r.status));
         break;
       case Record::Kind::kWire:
-        out += "{\"k\":\"wire\"";
-        JsonAppendField(out, "seg", static_cast<int64_t>(r.segment));
-        JsonAppendField(out, "t0", r.t0);
-        JsonAppendField(out, "t1", r.t1);
-        JsonAppendField(out, "arrive", r.arrival);
-        JsonAppendField(out, "len", r.len);
-        JsonAppendField(out, "qd", r.qdepth);
-        JsonAppendField(out, "qw", r.qwait);
-        JsonAppendField(out, "msg", r.msg);
+        num("{\"k\":\"wire\",\"seg\":", r.segment);
+        num(",\"t0\":", r.t0);
+        num(",\"t1\":", r.t1);
+        num(",\"arrive\":", r.arrival);
+        num(",\"len\":", r.len);
+        num(",\"qd\":", r.qdepth);
+        num(",\"qw\":", r.qwait);
+        num(",\"msg\":", r.msg);
         break;
       case Record::Kind::kEvent:
-        out += "{\"k\":\"ev\"";
-        JsonAppendField(out, "host", names_[r.host]);
-        JsonAppendField(out, "proto", names_[r.proto]);
-        JsonAppendField(out, "op", TraceOpName(r.op));
-        JsonAppendField(out, "t", r.t0);
-        JsonAppendField(out, "call", r.call);
-        JsonAppendField(out, "msg", r.msg);
-        JsonAppendField(out, "sess", r.sess);
-        JsonAppendField(out, "detail", r.len);
-        JsonAppendField(out, "status", StatusCodeName(r.status));
+        str("{\"k\":\"ev\",\"host\":", names_[r.host]);
+        str(",\"proto\":", names_[r.proto]);
+        str(",\"op\":", TraceOpName(r.op));
+        num(",\"t\":", r.t0);
+        num(",\"call\":", r.call);
+        num(",\"msg\":", r.msg);
+        num(",\"sess\":", r.sess);
+        num(",\"detail\":", r.len);
+        str(",\"status\":", StatusCodeName(r.status));
         break;
       case Record::Kind::kLog:
-        out += "{\"k\":\"log\"";
-        JsonAppendField(out, "host", names_[r.host]);
-        JsonAppendField(out, "t", r.t0);
-        JsonAppendField(out, "level", static_cast<int64_t>(r.level));
-        JsonAppendField(out, "text", r.text);
+        str("{\"k\":\"log\",\"host\":", names_[r.host]);
+        num(",\"t\":", r.t0);
+        num(",\"level\":", r.level);
+        str(",\"text\":", r.text);
         break;
     }
     out += "}\n";
   }
   return out;
-}
-
-bool TraceSink::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = ToJsonl();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace xk

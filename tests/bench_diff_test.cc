@@ -206,6 +206,18 @@ TEST(BenchDiff, HostDependentFieldsAreSkipped) {
   EXPECT_TRUE(Compare(a, b).ok());
 }
 
+// A job's artifact time (trace/pcap/stats writes, flow stitching) is host
+// time too: a tenfold rise is not a regression.
+TEST(BenchDiff, ArtifactTimeIsSkipped) {
+  std::string a = SuiteJson(2.0, 400, 9000);
+  std::string b = a;
+  size_t pos = a.find("\"wall_ms\": 7,");
+  ASSERT_NE(pos, std::string::npos);
+  a.insert(pos, "\"artifact_ms\": 3, ");
+  b.insert(pos, "\"artifact_ms\": 30, ");
+  EXPECT_TRUE(Compare(a, b).ok());
+}
+
 TEST(BenchDiff, JobReorderDoesNotCompareAcrossJobs) {
   // Results keyed by group.name: swapping array order changes nothing.
   const std::string base = SuiteJson(2.0, 400, 9000);
