@@ -33,6 +33,7 @@
 #include "src/cluster/datacenter.h"
 #include "src/stat/timeseries.h"
 #include "src/trace/causal.h"
+#include "src/trace/json_util.h"
 #include "src/trace/pcap.h"
 #include "src/trace/trace.h"
 
@@ -238,15 +239,17 @@ Job ManyHostTracedJob() {
   JobFn fn = [] {
     constexpr int kTracedPairs = 8;
     constexpr int kTracedIters = 25;
-    // The worker may have installed a suite-wide sink (--trace/--flow); park
-    // it so the bare pass is genuinely untraced and the traced pass is
-    // measured against a sink this job owns.
+    // The worker may have installed a per-job sink (--trace/--flow); park it
+    // so the bare pass is genuinely untraced. The traced pass records into
+    // that sink, so the job's trace and flow files hold it, or into a local
+    // one when the suite is not tracing.
     TraceSink* outer = TraceSink::thread_default();
     TraceSink::set_thread_default(nullptr);
     const auto t0 = std::chrono::steady_clock::now();
     const ManyPairsBench bare = MeasureManyPairsBench(kTracedPairs, kManyHostBytes, kTracedIters);
     const auto t1 = std::chrono::steady_clock::now();
-    TraceSink sink;
+    TraceSink local;
+    TraceSink& sink = outer != nullptr ? *outer : local;
     TraceSink::set_thread_default(&sink);
     const ManyPairsBench traced =
         MeasureManyPairsBench(kTracedPairs, kManyHostBytes, kTracedIters);
@@ -717,19 +720,6 @@ std::vector<Job> BuildJobs() {
 
 // --- JSON emission -------------------------------------------------------------
 
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 void AppendJsonNumber(std::string& out, double v, const char* fmt = "%.10g") {
   if (!std::isfinite(v)) {
     out += "null";
@@ -776,9 +766,9 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
     out += "    {\"group\": ";
-    AppendJsonString(out, r.group);
+    JsonAppendEscaped(out, r.group);
     out += ", \"name\": ";
-    AppendJsonString(out, r.name);
+    JsonAppendEscaped(out, r.name);
     if (!stable) {
       out += ", \"wall_ms\": ";
       AppendJsonNumber(out, r.wall_ms, "%.1f");
@@ -786,7 +776,7 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
       AppendJsonNumber(out, r.artifact_ms, "%.1f");
       for (const Metric& m : r.host_metrics) {
         out += ", ";
-        AppendJsonString(out, m.name);
+        JsonAppendEscaped(out, m.name);
         out += ": ";
         AppendJsonNumber(out, m.value);
       }
@@ -797,7 +787,7 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
       if (m > 0) {
         out += ", ";
       }
-      AppendJsonString(out, r.metrics[m].name);
+      JsonAppendEscaped(out, r.metrics[m].name);
       out += ": ";
       AppendJsonNumber(out, r.metrics[m].value);
     }

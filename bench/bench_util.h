@@ -274,8 +274,8 @@ inline ColdWarmResult MeasureColdWarm(const RpcBench::Builder& builder) {
   return ColdWarmResult{ToMsec(first.per_call), ToMsec(steady.per_call), net->events_fired()};
 }
 
-// Per-segment link statistics for one finished run (see Internet::CountersJson
-// for the same quantities as JSON).
+// Per-segment link statistics for one finished run (the "segments" block of
+// the BENCH JSON).
 struct SegmentStat {
   int segment = 0;
   uint64_t frames = 0;

@@ -159,7 +159,6 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
   // reply instead of being charged execution -- the client has already given
   // up on it, so executing it only steals capacity from live work.
   if (msg.deadline() != 0 && service_start >= msg.deadline()) {
-    ++deadline_sheds_;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kShed, name(), service_start, 0, &msg, lls, 0,
                       StatusCode::kDeadlineExceeded);
@@ -176,7 +175,6 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
   const SimTime backlog = service_start - kernel().events().now();
   if ((max_inflight_ != 0 && inflight_ >= max_inflight_) ||
       (max_backlog_ != 0 && backlog > max_backlog_)) {
-    ++busy_rejects_;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kReject, name(), service_start, 0, &msg, lls,
                       static_cast<uint64_t>(backlog), StatusCode::kBusy);

@@ -109,15 +109,6 @@ class RpcServer : public Protocol {
   }
 
   uint64_t requests_served() const { return requests_served_; }
-  uint64_t busy_rejects() const { return busy_rejects_; }
-  uint64_t deadline_sheds() const { return deadline_sheds_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("requests_served", requests_served_);
-    emit("busy_rejects", busy_rejects_);
-    emit("deadline_sheds", deadline_sheds_);
-  }
 
   // Per-request service time: from the request reaching this server protocol
   // to the reply being handed back down the stack (includes app cost, any
@@ -139,8 +130,6 @@ class RpcServer : public Protocol {
   uint32_t max_inflight_ = 0;   // delayed-service requests in flight (0 = off)
   SimTime max_backlog_ = 0;     // run-queue delay bound (0 = off)
   uint64_t inflight_ = 0;
-  uint64_t busy_rejects_ = 0;
-  uint64_t deadline_sheds_ = 0;
   Histogram service_time_;
 };
 

@@ -21,7 +21,6 @@ void ClusterClient::Call(IpAddr service, uint16_t command, uint64_t id, Message 
     parts.peer.command = command;
     Result<SessionRef> r = rpc_->Open(*this, parts);
     if (!r.ok()) {
-      ++calls_failed_;
       done(r.status());
       return;
     }
@@ -51,7 +50,6 @@ void ClusterClient::Call(IpAddr service, uint16_t command, uint64_t id, Message 
     // out, so the id is still ours to complete directly.
     RpcDone cb = std::move(cit->second.done);
     oit->second.erase(cit);
-    ++calls_failed_;
     cb(pushed);
     return;
   }
@@ -141,7 +139,6 @@ Status ClusterClient::DoDemux(Session* lls, Message& msg) {
     }
   }
   rtt_.Record(kernel().now() - pc.issued_at);
-  ++calls_completed_;
   pc.done(msg);
   return OkStatus();
 }
@@ -181,17 +178,7 @@ void ClusterClient::SessionCallError(Session& lls, Status error, const Message* 
   }
   RpcDone done = std::move(pc.done);
   it->second.erase(cit);
-  ++calls_failed_;
   done(error);
-}
-
-void ClusterClient::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("calls_completed", calls_completed_);
-  emit("calls_failed", calls_failed_);
-  emit("late_replies", late_replies_);
-  emit("hedges", hedges_);
-  emit("hedge_cancels", hedge_cancels_);
 }
 
 void ClusterClient::ExportGauges(const CounterEmit& emit) const {

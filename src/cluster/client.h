@@ -60,14 +60,11 @@ class ClusterClient : public Protocol {
   // hedged id executing on two replicas is reported, not flagged.
   void set_hedge_notify(std::function<void(uint64_t)> f) { hedge_notify_ = std::move(f); }
 
-  uint64_t calls_completed() const { return calls_completed_; }
-  uint64_t calls_failed() const { return calls_failed_; }
   uint64_t late_replies() const { return late_replies_; }
   uint64_t hedges() const { return hedges_; }
   uint64_t hedge_cancels() const { return hedge_cancels_; }
   const Histogram& rtt_histogram() const { return rtt_; }
 
-  void ExportCounters(const CounterEmit& emit) const override;
   void ExportGauges(const CounterEmit& emit) const override;
   void SessionError(Session& lls, Status error) override;
   void SessionCallError(Session& lls, Status error, const Message* request) override;
@@ -101,8 +98,6 @@ class ClusterClient : public Protocol {
   // Ordered by id within each session, so "oldest outstanding" = begin().
   std::map<Session*, std::map<uint64_t, PendingCall>> outstanding_;
   Histogram rtt_;
-  uint64_t calls_completed_ = 0;
-  uint64_t calls_failed_ = 0;
   uint64_t late_replies_ = 0;
   uint64_t hedges_ = 0;
   uint64_t hedge_cancels_ = 0;

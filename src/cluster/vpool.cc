@@ -34,8 +34,8 @@ const char* VpoolPolicyName(VpoolPolicy policy) {
 VpoolProtocol::VpoolProtocol(Kernel& kernel, Protocol* rpc, std::string name)
     : Protocol(kernel, std::move(name), {rpc}),
       rpc_(rpc),
-      active_(*this),
-      by_lls_(*this) {
+      active_(kernel),
+      by_lls_(kernel) {
   MarkIdleCapable();
 }
 
@@ -255,7 +255,6 @@ void VpoolProtocol::SessionCallError(Session& lls, Status error, const Message* 
     if (r.outstanding > 0) {
       --r.outstanding;
     }
-    ++r.errors;
     auto iit = lls_inflight_.find(&lls);
     if (iit != lls_inflight_.end() && iit->second > 0) {
       --iit->second;
@@ -327,7 +326,6 @@ uint64_t VpoolProtocol::FlushLowers(VpoolSession& vs) {
     }
     auto iit = lls_inflight_.find(lower.get());
     if (iit != lls_inflight_.end() && iit->second > 0) {
-      ++flush_skipped_busy_;
       continue;
     }
     by_lls_.Unbind(lower.get());
@@ -364,23 +362,6 @@ bool VpoolProtocol::EvictSession(Session& s) {
     active_.Unbind(vs.command_);
   }
   return true;
-}
-
-void VpoolProtocol::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("down_marks", down_marks_);
-  emit("readmits", readmits_);
-  emit("rerouted_opens", rerouted_opens_);
-  emit("all_down_failures", all_down_failures_);
-  emit("session_flushes", session_flushes_);
-  emit("flush_skipped_busy", flush_skipped_busy_);
-  emit("capped_rejects", capped_rejects_);
-  emit("breaker_trips", breaker_trips_);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const std::string prefix = "r" + std::to_string(i);
-    emit(prefix + "_calls", replicas_[i].calls);
-    emit(prefix + "_errors", replicas_[i].errors);
-  }
 }
 
 void VpoolProtocol::ExportGauges(const CounterEmit& emit) const {
@@ -475,7 +456,6 @@ Status VpoolSession::DoPush(Message& msg) {
       if (iit != pool_.lls_inflight_.end() && iit->second > 0) {
         --iit->second;
       }
-      ++r.errors;
     }
     return s;
   }

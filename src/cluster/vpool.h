@@ -15,8 +15,8 @@
 // how a crashed host manifests to its clients). Down replicas are skipped by
 // every policy and readmitted on probation after `readmit_after`; a replica
 // that is still dead just fails its next probe call and is marked down again.
-// Per-replica balance and failover counters export through the standard
-// ExportCounters/ExportGauges observability hooks.
+// Per-replica balance and failover counters are read through the accessors
+// below; in-flight state samples through ExportGauges.
 //
 // Sessions are slab-pooled and idle-tracked (the session class precedes the
 // protocol so the pool member sees a complete type). Eviction reuses the same
@@ -108,7 +108,6 @@ class VpoolProtocol final : public Protocol {
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   bool replica_up(int i) const { return replicas_[static_cast<size_t>(i)].up; }
   uint64_t replica_calls(int i) const { return replicas_[static_cast<size_t>(i)].calls; }
-  uint64_t replica_errors(int i) const { return replicas_[static_cast<size_t>(i)].errors; }
   uint64_t replica_outstanding(int i) const {
     return replicas_[static_cast<size_t>(i)].outstanding;
   }
@@ -125,7 +124,6 @@ class VpoolProtocol final : public Protocol {
 
   void SessionError(Session& lls, Status error) override;
   void SessionCallError(Session& lls, Status error, const Message* request) override;
-  void ExportCounters(const CounterEmit& emit) const override;
   void ExportGauges(const CounterEmit& emit) const override;
 
  protected:
@@ -143,7 +141,6 @@ class VpoolProtocol final : public Protocol {
     bool up = true;
     int64_t wrr_current = 0;  // smooth-WRR running credit
     uint64_t calls = 0;       // calls routed here (client-side ground truth)
-    uint64_t errors = 0;      // open failures + asynchronous call errors
     uint64_t outstanding = 0; // in flight now (least-outstanding input)
     uint64_t window_calls = 0;  // breaker window: outcomes since last reset
     uint64_t window_bad = 0;    // breaker window: overload outcomes
@@ -186,7 +183,6 @@ class VpoolProtocol final : public Protocol {
   uint64_t rerouted_opens_ = 0;     // picks abandoned because the open failed
   uint64_t all_down_failures_ = 0;  // pushes failed with every replica down
   uint64_t session_flushes_ = 0;    // lower sessions dropped by flush/eviction
-  uint64_t flush_skipped_busy_ = 0;
 
   SlabPool<VpoolSession> sessions_;
   DemuxMap<uint16_t> active_;              // command -> VPOOL session

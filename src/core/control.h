@@ -50,9 +50,6 @@ enum class ControlOp : uint8_t {
   kGetFreeChannels,    // out u64: channels not currently in use
   kSetRetransmitLimit, // in u64
   kSetTimeoutBase,     // in u64: base retransmit timeout, nanoseconds
-  kGetRetransmits,     // out u64: total retransmissions performed (stats)
-  kGetDuplicatesDropped,  // out u64: duplicate requests suppressed (stats)
-  kGetTimeouts,        // out u64: retransmit timer expirations (stats)
   kSetAdaptiveTimeout, // in u64(bool): SRTT/RTTVAR adaptive RTO instead of the
                        // paper's step-function timeout (default off)
   kFlushSessions,      // drop idle cached lower sessions (connection churn);
@@ -62,7 +59,6 @@ enum class ControlOp : uint8_t {
   kSetRetryBudget,     // in u64: packed burst<<32 | retry_ratio_ppm. Installs a
                        // per-stack retransmit token bucket on CHANNEL (0 ppm =
                        // disabled, the default). See README "Overload control".
-  kGetRetryBudgetTokens,  // out u64: current bucket level in ppm (stats)
   kSetAdmissionLimit,  // in u64: packed max_inflight<<32 | max_backlog_us.
                        // Bounds the RpcServer run queue; 0/0 = unbounded.
   kSetConcurrencyCap,  // in u64: VPOOL per-replica outstanding-call cap
@@ -87,10 +83,6 @@ enum class ControlOp : uint8_t {
   kGetIdleTimeout,  // out u64
   kEvictIdle,       // in u64: minimum idle ns (0 = every evictable session);
                     // out u64: sessions evicted now
-
-  // --- auth (Sun RPC optional layers) -----------------------------------------
-  kSetCredentials,  // in u64: packed uid<<32|gid
-  kGetCredentials,  // out u64
 };
 
 // In/out argument block for Control. Opcodes document which slots they use;

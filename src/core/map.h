@@ -33,19 +33,11 @@ class DemuxMap {
  public:
   explicit DemuxMap(Kernel& kernel) : kernel_(kernel) {}
 
-  // Preferred: a map owned by `owner` counts its datapath hits/misses into
-  // the owner's ProtoCounters (host bookkeeping; charged costs unchanged).
-  explicit DemuxMap(Protocol& owner)
-      : kernel_(owner.kernel()), counters_(&owner.counters()) {}
-
   // Looks up `key`, charging one map_resolve. Returns a default-constructed
   // Value (null SessionRef) on miss.
   Value Resolve(const Key& key) {
     kernel_.ChargeMapResolve();
     const size_t i = FindIndex(key);
-    if (counters_ != nullptr) {
-      ++(i == kNpos ? counters_->map_misses : counters_->map_hits);
-    }
     return i == kNpos ? Value{} : buckets_[i].value;
   }
 
@@ -265,7 +257,6 @@ class DemuxMap {
   }
 
   Kernel& kernel_;
-  ProtoCounters* counters_ = nullptr;  // owner's counters; null for bare-kernel maps
   std::vector<Bucket> buckets_;  // size is 0 or a power of two
   size_t size_ = 0;
   size_t tombstones_ = 0;

@@ -49,23 +49,7 @@ using SessionRef = std::shared_ptr<Session>;
 // resolution, e.g. VIP consulting ARP; everything else opens synchronously).
 using OpenCallback = std::function<void(Result<SessionRef>)>;
 
-// Generic per-protocol traffic counters, maintained unconditionally at the
-// non-virtual entry points (host bookkeeping only -- never charged to the
-// simulated CPU). Protocol-specific statistics ride along via
-// Protocol::ExportCounters overrides.
-struct ProtoCounters {
-  uint64_t msgs_out = 0;     // messages entering a session's Push
-  uint64_t bytes_out = 0;
-  uint64_t msgs_in = 0;      // messages entering the protocol's Demux
-  uint64_t bytes_in = 0;
-  uint64_t opens = 0;        // active Open calls (including cache hits)
-  uint64_t open_enables = 0;
-  uint64_t demux_drops = 0;  // Demux calls that returned an error
-  uint64_t map_hits = 0;     // charged DemuxMap resolves that found a binding
-  uint64_t map_misses = 0;
-};
-
-// Receives one (name, value) pair per counter during ExportCounters.
+// Receives one (name, value) pair per gauge during ExportGauges.
 using CounterEmit = std::function<void(std::string_view name, uint64_t value)>;
 
 // ---------------------------------------------------------------------------
@@ -236,19 +220,12 @@ class Protocol {
 
   // --- observability ----------------------------------------------------------
 
-  // Generic traffic counters (host-side only; see ProtoCounters). Mutated by
-  // the non-virtual entry points and by this protocol's DemuxMaps.
-  ProtoCounters& counters() { return counters_; }
-  const ProtoCounters& counters() const { return counters_; }
-
-  // Emits every counter this protocol maintains, generic ones first.
-  // Overrides call the base, then emit their protocol-specific statistics.
-  virtual void ExportCounters(const CounterEmit& emit) const;
+  // Demux calls that returned an error (host bookkeeping; never charged).
+  uint64_t demux_drops() const { return demux_drops_; }
 
   // Emits instantaneous state (queue depths, calls in flight, retransmit
-  // counts) for the time-series sampler. Unlike ExportCounters this is called
-  // repeatedly mid-run, so overrides must be read-only and cheap. Default:
-  // nothing.
+  // counts) for the time-series sampler. Called repeatedly mid-run, so
+  // overrides must be read-only and cheap. Default: nothing.
   virtual void ExportGauges(const CounterEmit& emit) const { (void)emit; }
 
   // --- idle-session eviction --------------------------------------------------
@@ -259,7 +236,7 @@ class Protocol {
   // timeout (ControlOp::kSetIdleTimeout) a one-shot sweep timer fires at the
   // cold end's deadline and asks the protocol to drop its owning references
   // (EvictSession); ControlOp::kEvictIdle sweeps immediately. Each eviction
-  // is charged as a session destroy and counted in ExportCounters. A session
+  // is charged as a session destroy and counted in idle_evictions(). A session
   // that declines (CanEvict / EvictSession veto) is parked off the list until
   // its next activity relinks it, so an unevictable session never keeps the
   // sweep timer -- or the simulation -- alive.
@@ -307,7 +284,7 @@ class Protocol {
   Kernel& kernel_;
   std::string name_;
   std::vector<Protocol*> lowers_;
-  ProtoCounters counters_;
+  uint64_t demux_drops_ = 0;
 
   struct IdleState {
     bool capable = false;

@@ -16,8 +16,8 @@ EthProtocol::EthProtocol(Kernel& kernel, EthernetSegment& segment, std::optional
       segment_(segment),
       addr_(addr.value_or(kernel.eth_addr())),
       attach_id_(segment.Attach(addr_, this)),
-      active_(*this),
-      passive_(*this) {}
+      active_(kernel),
+      passive_(kernel) {}
 
 EthProtocol::~EthProtocol() { segment_.Detach(attach_id_); }
 
@@ -70,7 +70,6 @@ void EthProtocol::Transmit(Message& msg) {
   // pooled frame held last). Zero wire bytes, zero simulated cost -- it lets
   // wire records and the receiving host's spans name the sender's message.
   frame->trace_msg_id = msg.trace_id();
-  ++frames_out_;
   segment_.Transmit(attach_id_, std::move(frame), kernel().cpu().now());
 }
 
@@ -133,12 +132,6 @@ Status EthProtocol::DoDemux(Session* lls, Message& msg) {
     sess = created;
   }
   return sess->Pop(msg, nullptr);
-}
-
-void EthProtocol::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("frames_out", frames_out_);
-  emit("frames_in", frames_in_);
 }
 
 Status EthProtocol::DoControl(ControlOp op, ControlArgs& args) {

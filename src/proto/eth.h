@@ -44,10 +44,7 @@ class EthProtocol final : public Protocol, public FrameSink {
   void FrameArrived(const EthFrame& frame) override;
 
   // --- statistics -------------------------------------------------------------
-  uint64_t frames_out() const { return frames_out_; }
   uint64_t frames_in() const { return frames_in_; }
-
-  void ExportCounters(const CounterEmit& emit) const override;
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;
@@ -70,7 +67,6 @@ class EthProtocol final : public Protocol, public FrameSink {
   int attach_id_;
   DemuxMap<Key> active_;
   DemuxMap<EthType, Protocol*> passive_;
-  uint64_t frames_out_ = 0;
   uint64_t frames_in_ = 0;
 };
 

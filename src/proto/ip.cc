@@ -69,8 +69,8 @@ bool ParseHeader(const uint8_t* raw, IpHeader* h) {
 IpProtocol::IpProtocol(Kernel& kernel, std::vector<IpInterface> interfaces, std::string name)
     : Protocol(kernel, std::move(name), {}),
       interfaces_(std::move(interfaces)),
-      active_(*this),
-      passive_(*this) {
+      active_(kernel),
+      passive_(kernel) {
   // Receive IP datagrams on every interface.
   for (IpInterface& ifc : interfaces_) {
     ParticipantSet enable;
@@ -335,7 +335,6 @@ Status IpProtocol::DeliverToSession(const IpHeader& hdr, Session* lls, Message& 
     }
     sess = created;
   }
-  ++stats_.datagrams_delivered;
   return sess->Pop(msg, lls);
 }
 

@@ -67,7 +67,6 @@ class IpProtocol final : public Protocol {
   struct Stats {
     uint64_t datagrams_sent = 0;
     uint64_t fragments_sent = 0;
-    uint64_t datagrams_delivered = 0;
     uint64_t reassemblies_completed = 0;
     uint64_t reassembly_timeouts = 0;
     uint64_t checksum_failures = 0;
@@ -76,19 +75,6 @@ class IpProtocol final : public Protocol {
     uint64_t no_route_drops = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("datagrams_sent", stats_.datagrams_sent);
-    emit("fragments_sent", stats_.fragments_sent);
-    emit("datagrams_delivered", stats_.datagrams_delivered);
-    emit("reassemblies_completed", stats_.reassemblies_completed);
-    emit("reassembly_timeouts", stats_.reassembly_timeouts);
-    emit("checksum_failures", stats_.checksum_failures);
-    emit("forwards", stats_.forwards);
-    emit("ttl_drops", stats_.ttl_drops);
-    emit("no_route_drops", stats_.no_route_drops);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

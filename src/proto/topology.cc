@@ -1,11 +1,9 @@
 #include "src/proto/topology.h"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "src/stat/timeseries.h"
-#include "src/trace/counters.h"
 
 namespace xk {
 
@@ -276,66 +274,6 @@ void Internet::AttachStats(StatSampler* stats) {
   for (size_t i = 0; i < segments_.size(); ++i) {
     segments_[i]->set_stats(stats_->RegisterSegment(stat_net_, static_cast<int>(i)));
   }
-}
-
-std::string Internet::CountersJson() const {
-  std::string out;
-  out += "{\"schema_version\":1,\"hosts\":[";
-  bool first = true;
-  for (const HostEntry& e : hosts_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendHostCountersJson(out, *e.stack.kernel);
-  }
-  out += "],\"links\":[";
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    const EthernetSegment& s = *segments_[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += "{\"segment\":" + std::to_string(i);
-    out += ",\"frames_sent\":" + std::to_string(s.frames_sent());
-    out += ",\"bytes_sent\":" + std::to_string(s.bytes_sent());
-    out += ",\"frames_dropped\":" + std::to_string(s.frames_dropped());
-    out += ",\"random_drops\":" + std::to_string(s.random_drops());
-    out += ",\"fault_drops\":" + std::to_string(s.fault_drops());
-    out += ",\"fault_duplicates\":" + std::to_string(s.fault_duplicates());
-    out += ",\"fault_corruptions\":" + std::to_string(s.fault_corruptions());
-    out += ",\"fault_delays\":" + std::to_string(s.fault_delays());
-    out += ",\"down_drops\":" + std::to_string(s.down_drops());
-    out += ",\"bus_busy_ns\":" + std::to_string(s.bus_busy_time());
-    // Utilization over the full simulated span, parts-per-million (integer,
-    // so the document stays byte-stable).
-    const SimTime elapsed = events_.now();
-    const uint64_t util_ppm =
-        elapsed > 0 ? static_cast<uint64_t>(s.bus_busy_time()) * 1000000u /
-                          static_cast<uint64_t>(elapsed)
-                    : 0;
-    out += ",\"utilization_ppm\":" + std::to_string(util_ppm);
-    out += ",\"queued_frames\":" + std::to_string(s.queued_frames());
-    out += ",\"peak_queue_depth\":" + std::to_string(s.peak_queue_depth());
-    out += ",\"mean_queue_depth_x1000\":" + std::to_string(s.mean_queue_depth_x1000());
-    const Histogram& qw = s.queue_wait();
-    out += ",\"queue_wait_p50_ns\":" + std::to_string(qw.P50());
-    out += ",\"queue_wait_p99_ns\":" + std::to_string(qw.P99());
-    out += ",\"queue_wait_p999_ns\":" + std::to_string(qw.P999());
-    out += ",\"queue_wait_max_ns\":" + std::to_string(qw.max());
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
-}
-
-bool Internet::WriteCountersJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = CountersJson();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 HostStack& Internet::host(const std::string& name) { return FindEntry(name).stack; }

@@ -119,11 +119,6 @@ class Internet {
   PacketCapture* capture() const { return capture_; }
   StatSampler* stats() const { return stats_; }
 
-  // Per-protocol counters for every host plus per-link statistics (including
-  // fault-injection outcomes), as one JSON document.
-  std::string CountersJson() const;
-  bool WriteCountersJson(const std::string& path) const;
-
   // --- access -----------------------------------------------------------------
   // The simulation's single event queue. Schedule work through kernels, not
   // directly on this queue.

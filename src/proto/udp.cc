@@ -32,7 +32,7 @@ uint16_t UdpChecksum(IpAddr src, IpAddr dst, uint16_t src_port, uint16_t dst_por
 // ---------------------------------------------------------------------------
 
 UdpProtocol::UdpProtocol(Kernel& kernel, Protocol* ip, std::string name)
-    : Protocol(kernel, std::move(name), {ip}), active_(*this), passive_(*this) {
+    : Protocol(kernel, std::move(name), {ip}), active_(kernel), passive_(kernel) {
   MarkIdleCapable();
   ParticipantSet enable;
   enable.local.ip_proto = kIpProtoUdp;

@@ -10,9 +10,9 @@ VipProtocol::VipProtocol(Kernel& kernel, Protocol* eth, Protocol* ip, ArpProtoco
                          std::string name)
     : Protocol(kernel, std::move(name), {eth, ip}),
       arp_(arp),
-      active_(*this),
-      passive_(*this),
-      by_lls_(*this) {
+      active_(kernel),
+      passive_(kernel),
+      by_lls_(kernel) {
   MarkIdleCapable();
 }
 

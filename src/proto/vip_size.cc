@@ -76,10 +76,10 @@ VipSizeProtocol::VipSizeProtocol(Kernel& kernel, Protocol* small, Protocol* big,
                                  ArpProtocol* arp, std::string name)
     : Protocol(kernel, std::move(name), {small, big}),
       arp_(arp),
-      active_(*this),
-      passive_by_ip_(*this),
-      passive_by_rel_(*this),
-      by_lls_(*this) {}
+      active_(kernel),
+      passive_by_ip_(kernel),
+      passive_by_rel_(kernel),
+      by_lls_(kernel) {}
 
 size_t VipSizeProtocol::Threshold() {
   ControlArgs args;

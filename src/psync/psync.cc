@@ -141,7 +141,6 @@ Result<PsyncMsgId> PsyncConversation::Send(const Message& payload) {
       return last;
     }
   }
-  ++proto_.stats_.sent;
   Insert(id, kernel.ip_addr(), deps);
   return id;
 }
@@ -149,12 +148,10 @@ Result<PsyncMsgId> PsyncConversation::Send(const Message& payload) {
 void PsyncConversation::HandleIncoming(PsyncMsgId id, IpAddr sender,
                                        std::vector<PsyncMsgId> deps, Message& payload) {
   if (nodes_.count(id) != 0) {
-    ++proto_.stats_.duplicates_dropped;  // FRAGMENT may duplicate
-    return;
+    return;  // FRAGMENT may duplicate
   }
   proto_.kernel().ChargeMapBind();
   Insert(id, sender, deps);
-  ++proto_.stats_.delivered;
   if (on_receive_) {
     PsyncDelivery d;
     d.sender = sender;

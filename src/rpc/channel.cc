@@ -29,7 +29,7 @@ constexpr SimTime kRtoCap = Msec(2000);
 // ---------------------------------------------------------------------------
 
 ChannelProtocol::ChannelProtocol(Kernel& kernel, Protocol* lower, std::string name)
-    : Protocol(kernel, std::move(name), {lower}), active_(*this), passive_(*this) {
+    : Protocol(kernel, std::move(name), {lower}), active_(kernel), passive_(kernel) {
   MarkIdleCapable();
   ParticipantSet enable;
   enable.local.ip_proto = kIpProtoChannel;
@@ -192,20 +192,11 @@ Status ChannelProtocol::DoDemux(Session* lls, Message& msg) {
 
 Status ChannelProtocol::DoControl(ControlOp op, ControlArgs& args) {
   switch (op) {
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetDuplicatesDropped:
-      args.u64 = stats_.duplicates_suppressed;
-      return OkStatus();
     case ControlOp::kSetTimeoutBase:
       base_timeout_ = static_cast<SimTime>(args.u64);
       return OkStatus();
     case ControlOp::kSetRetransmitLimit:
       retry_limit_ = static_cast<int>(args.u64);
-      return OkStatus();
-    case ControlOp::kGetTimeouts:
-      args.u64 = stats_.timeouts;
       return OkStatus();
     case ControlOp::kSetAdaptiveTimeout:
       adaptive_timeout_ = args.u64 != 0;
@@ -214,9 +205,6 @@ Status ChannelProtocol::DoControl(ControlOp op, ControlArgs& args) {
       retry_burst_ = args.u64 >> 32;
       retry_ratio_ppm_ = args.u64 & 0xFFFFFFFFu;
       retry_tokens_ppm_ = retry_burst_ * kTokenPpm;  // bucket starts full
-      return OkStatus();
-    case ControlOp::kGetRetryBudgetTokens:
-      args.u64 = retry_tokens_ppm_;
       return OkStatus();
     case ControlOp::kGetMaxSendSize:
       // CHANNEL adds a header but does not fragment; it depends on the layer
@@ -342,7 +330,6 @@ void ChannelSession::OnTimeout() {
   ++chan_.stats_.timeouts;
   if (pending_->deadline != 0 && kernel().now() >= pending_->deadline) {
     // The deadline passed: retransmitting buys nothing the caller can use.
-    ++chan_.stats_.deadline_giveups;
     FailPending(StatusCode::kDeadlineExceeded);
     return;
   }
@@ -355,7 +342,6 @@ void ChannelSession::OnTimeout() {
     // means the stack as a whole is retrying more than its configured ratio
     // -- give this call up instead of joining the storm.
     if (chan_.retry_tokens_ppm_ < kTokenPpm) {
-      ++chan_.stats_.budget_giveups;
       FailPending(StatusCode::kResourceExhausted);
       return;
     }
@@ -392,7 +378,6 @@ Status ChannelSession::DoPush(Message& msg) {
     }
     in_progress_ = !exec_seqs_.empty();
     if (exec_seq != recv_seq_) {
-      ++chan_.stats_.abandoned_replies;
       return OkStatus();
     }
     // A nonzero wire_error (admission fast-reject, shed) rides the header's
@@ -408,7 +393,6 @@ Status ChannelSession::DoPush(Message& msg) {
   if (msg.deadline() != 0 && kernel().now() >= msg.deadline()) {
     // Already expired (e.g. queued behind a full channel pool): don't waste
     // a wire exchange on an answer nobody will wait for.
-    ++chan_.stats_.deadline_giveups;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kGiveUp, chan_.name(), kernel().now(), 0, &msg, this, 0,
                       StatusCode::kDeadlineExceeded);
@@ -469,7 +453,6 @@ Status ChannelSession::HandleRequest(uint32_t seq, uint32_t boot_id, Message& pa
     // Answer with a cheap error reply instead of charging execution -- the
     // client has already given up (or is about to), so running the handler
     // would only push the server deeper into overload.
-    ++chan_.stats_.deadline_sheds;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kShed, chan_.name(), kernel().now(), 0, &payload, this,
                       0, StatusCode::kDeadlineExceeded);
@@ -512,7 +495,6 @@ Status ChannelSession::HandleReply(uint16_t flags, uint32_t seq, uint16_t error,
     kernel().CancelTimer(pending_->timer);
     Message req = std::move(pending_->request);
     pending_.reset();
-    ++chan_.stats_.reject_replies;
     ++chan_.stats_.call_failures;
     NoteActivity();
     // Wake the blocked calling shepherd to observe the failure.

@@ -21,7 +21,7 @@ uint16_t FullMask(uint16_t num_frags) {
 // ---------------------------------------------------------------------------
 
 FragmentProtocol::FragmentProtocol(Kernel& kernel, Protocol* lower, std::string name)
-    : Protocol(kernel, std::move(name), {lower}), active_(*this), passive_(*this) {
+    : Protocol(kernel, std::move(name), {lower}), active_(kernel), passive_(kernel) {
   // Receive FRAGMENT traffic from below.
   ParticipantSet enable;
   enable.local.ip_proto = kIpProtoFragment;
@@ -284,7 +284,6 @@ Status FragmentSession::CompleteReassembly(uint32_t seq, Reasm& r) {
   if (recent_done_.size() > kRecentWindow) {
     recent_done_.erase(recent_done_.begin());
   }
-  ++frag_.stats_.messages_delivered;
   return DeliverUp(whole);
 }
 
@@ -306,7 +305,6 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     // Fast path: single-fragment message, no reassembly state at all (one
     // duplicate-window probe).
     kernel().ChargeMapResolve();
-    ++frag_.stats_.messages_delivered;
     return DeliverUp(payload);
   }
   if (std::find(recent_done_.begin(), recent_done_.end(), seq) != recent_done_.end()) {

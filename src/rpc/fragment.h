@@ -58,7 +58,6 @@ class FragmentProtocol : public Protocol {
   struct Stats {
     uint64_t messages_sent = 0;
     uint64_t fragments_sent = 0;
-    uint64_t messages_delivered = 0;
     uint64_t nacks_sent = 0;
     uint64_t nacks_received = 0;
     uint64_t fragments_resent = 0;
@@ -67,19 +66,6 @@ class FragmentProtocol : public Protocol {
     uint64_t stale_nacks = 0;  // NACK for a message no longer cached
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("messages_sent", stats_.messages_sent);
-    emit("fragments_sent", stats_.fragments_sent);
-    emit("messages_delivered", stats_.messages_delivered);
-    emit("nacks_sent", stats_.nacks_sent);
-    emit("nacks_received", stats_.nacks_received);
-    emit("fragments_resent", stats_.fragments_resent);
-    emit("reassembly_abandoned", stats_.reassembly_abandoned);
-    emit("cache_expirations", stats_.cache_expirations);
-    emit("stale_nacks", stats_.stale_nacks);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

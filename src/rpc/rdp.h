@@ -30,15 +30,12 @@ class RdpProtocol : public Protocol {
   void SessionError(Session& lls, Status error) override;
 
   struct Stats {
-    uint64_t datagrams_sent = 0;
     uint64_t datagrams_delivered = 0;
-    uint64_t send_failures = 0;
   };
   const Stats& stats() const { return stats_; }
 
   // Also surfaces the retransmission machinery of the CHANNEL below
   // (retransmits/timeouts), matching CHANNEL's stats surface.
-  void ExportCounters(const CounterEmit& emit) const override;
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

@@ -13,10 +13,10 @@ SelectProtocol::SelectProtocol(Kernel& kernel, Protocol* lower, std::string name
                                RelProtoNum rel_proto)
     : Protocol(kernel, std::move(name), {lower}),
       rel_proto_(rel_proto),
-      active_(*this),
-      passive_(*this),
-      calls_(*this),
-      server_sessions_(*this) {
+      active_(kernel),
+      passive_(kernel),
+      calls_(kernel),
+      server_sessions_(kernel) {
   MarkIdleCapable();
   ParticipantSet enable;
   enable.local.rel_proto = rel_proto_;
@@ -168,7 +168,6 @@ Status SelectProtocol::DoDemux(Session* lls, Message& msg) {
     auto* ss = static_cast<SelectServerSession*>(server_sess.get());
     ss->set_last_command(command);
     ss->set_hlp(hlp);
-    ++stats_.served;
     return server_sess->Pop(msg, lls);
   }
 
@@ -178,7 +177,6 @@ Status SelectProtocol::DoDemux(Session* lls, Message& msg) {
     if (caller == nullptr) {
       return ErrStatus(StatusCode::kNotFound);
     }
-    ++stats_.returns;
     return static_cast<SelectSession*>(caller.get())->CompleteCall(lls, status, msg);
   }
   return ErrStatus(StatusCode::kInvalidArgument);
@@ -248,7 +246,6 @@ Status SelectSession::DoPush(Message& msg) {
   last_request_ = msg;
   forward_hops_ = 0;
   ++outstanding_;  // pins the session against eviction until settled
-  ++sel_.stats_.calls;
   if (pool->available->count() == 0) {
     ++sel_.stats_.blocked_on_channel;
   }
@@ -258,7 +255,6 @@ Status SelectSession::DoPush(Message& msg) {
       // The deadline lapsed while this call queued for a free channel: shed
       // it here rather than spending a wire exchange on a dead call.
       pool->available->V();
-      ++sel_.stats_.expired_in_queue;
       if (TraceSink* ts = kernel().trace_sink()) {
         ts->RecordEvent(kernel(), TraceOp::kGiveUp, sel_.name(), kernel().now(), 0, &msg, this, 0,
                         StatusCode::kDeadlineExceeded);

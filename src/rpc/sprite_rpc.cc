@@ -39,7 +39,7 @@ Message SpriteRpcProtocol::Collect::Join(Kernel& kernel) const {
 // ---------------------------------------------------------------------------
 
 SpriteRpcProtocol::SpriteRpcProtocol(Kernel& kernel, Protocol* lower, std::string name)
-    : Protocol(kernel, std::move(name), {lower}), active_(*this), passive_(*this) {
+    : Protocol(kernel, std::move(name), {lower}), active_(kernel), passive_(kernel) {
   ParticipantSet enable;
   enable.local.ip_proto = kIpProtoSpriteRpc;
   (void)this->lower(0)->OpenEnable(*this, enable);
@@ -185,7 +185,6 @@ void SpriteRpcProtocol::OnTimeout(IpAddr server, size_t index) {
   }
   ClientChannel& chan = it->second.channels[index];
   if (chan.retries >= retry_limit_) {
-    ++stats_.call_failures;
     auto caller = chan.caller;
     ReleaseChannel(it->second, index);
     if (caller != nullptr && caller->hlp() != nullptr) {
@@ -468,7 +467,6 @@ Status SpriteRpcProtocol::HandleReplyOrAck(const Header& hdr, Message& payload) 
   kernel().CancelTimer(chan.timer);
   auto caller = chan.caller;
   ReleaseChannel(pool, hdr.channel);
-  ++stats_.replies_received;
   // Wake the blocked calling shepherd.
   kernel().ChargeSemOp();
   kernel().ChargeProcessSwitch();
@@ -487,12 +485,6 @@ Status SpriteRpcProtocol::DoControl(ControlOp op, ControlArgs& args) {
       return OkStatus();
     case ControlOp::kGetMaxPacket:
       args.u64 = kMaxMessage;
-      return OkStatus();
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetDuplicatesDropped:
-      args.u64 = stats_.duplicates_suppressed;
       return OkStatus();
     case ControlOp::kSetTimeoutBase:
       base_timeout_ = static_cast<SimTime>(args.u64);

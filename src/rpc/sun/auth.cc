@@ -12,7 +12,7 @@ namespace xk {
 
 AuthProtocolBase::AuthProtocolBase(Kernel& kernel, Protocol* lower, std::string name,
                                    RelProtoNum rel_proto)
-    : Protocol(kernel, std::move(name), {lower}), rel_proto_(rel_proto), active_(*this) {
+    : Protocol(kernel, std::move(name), {lower}), rel_proto_(rel_proto), active_(kernel) {
   ParticipantSet enable;
   enable.local.rel_proto = rel_proto_;
   (void)this->lower(0)->OpenEnable(*this, enable);
@@ -74,7 +74,6 @@ Status AuthProtocolBase::DoDemux(Session* lls, Message& msg) {
   const bool existing_client = sess != nullptr && !static_cast<AuthSession*>(sess.get())->server_side();
 
   if (flavor == kFlavorReject) {
-    ++stats_.reject_notices;
     if (sess != nullptr && sess->hlp() != nullptr) {
       sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kRejected));
     }

@@ -41,17 +41,8 @@ class AuthProtocolBase : public Protocol {
     uint64_t attached = 0;
     uint64_t verified = 0;
     uint64_t rejected = 0;
-    uint64_t reject_notices = 0;  // client-side: peer refused our credentials
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("attached", stats_.attached);
-    emit("verified", stats_.verified);
-    emit("rejected", stats_.rejected);
-    emit("reject_notices", stats_.reject_notices);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

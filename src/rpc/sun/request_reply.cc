@@ -14,7 +14,7 @@ constexpr uint8_t kTypeReply = 2;
 // ---------------------------------------------------------------------------
 
 RequestReplyProtocol::RequestReplyProtocol(Kernel& kernel, Protocol* lower, std::string name)
-    : Protocol(kernel, std::move(name), {lower}), active_(*this), passive_(*this) {
+    : Protocol(kernel, std::move(name), {lower}), active_(kernel), passive_(kernel) {
   ParticipantSet enable;
   enable.local.ip_proto = kIpProtoSunRpc;
   enable.local.rel_proto = kRelProtoRequestReply;  // when FRAGMENT is below
@@ -102,12 +102,6 @@ Status RequestReplyProtocol::DoDemux(Session* lls, Message& msg) {
 
 Status RequestReplyProtocol::DoControl(ControlOp op, ControlArgs& args) {
   switch (op) {
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetTimeouts:
-      args.u64 = stats_.timeouts;
-      return OkStatus();
     case ControlOp::kSetTimeoutBase:
       timeout_ = static_cast<SimTime>(args.u64);
       return OkStatus();
@@ -155,14 +149,11 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     return;
   }
   PendingCall& call = it->second;
-  ++rr_.stats_.timeouts;
   // Deadline check before the retry check: retransmitting a call nobody is
   // waiting for anymore only adds load. Sun RPC has no deadline wire format,
   // so this is purely the client giving up (the server still runs zero-or-
   // more semantics on whatever already reached it).
   if (call.deadline != 0 && kernel().now() >= call.deadline) {
-    ++rr_.stats_.deadline_giveups;
-    ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
       hlp()->SessionError(*this, ErrStatus(StatusCode::kDeadlineExceeded));
@@ -170,7 +161,6 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     return;
   }
   if (call.retries >= rr_.retry_limit_) {
-    ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
       hlp()->SessionError(*this, ErrStatus(StatusCode::kTimeout));
@@ -221,12 +211,10 @@ Status RequestReplySession::HandlePacket(uint8_t type, uint32_t xid, Message& pa
   if (type == kTypeReply) {
     auto it = pending_.find(xid);
     if (it == pending_.end()) {
-      ++rr_.stats_.stale_replies;  // duplicate reply from a re-execution
-      return OkStatus();
+      return OkStatus();  // duplicate reply from a re-execution
     }
     kernel().CancelTimer(it->second.timer);
     pending_.erase(it);
-    ++rr_.stats_.replies_received;
     kernel().ChargeSemOp();
     kernel().ChargeProcessSwitch();
     return DeliverUp(payload);

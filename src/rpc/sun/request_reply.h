@@ -35,27 +35,10 @@ class RequestReplyProtocol : public Protocol {
 
   struct Stats {
     uint64_t calls_sent = 0;
-    uint64_t replies_received = 0;
     uint64_t requests_executed = 0;  // includes re-executions of duplicates
     uint64_t retransmissions = 0;
-    uint64_t call_failures = 0;
-    uint64_t stale_replies = 0;
-    uint64_t timeouts = 0;  // retransmit timer expirations
-    uint64_t deadline_giveups = 0;  // calls abandoned past their deadline
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("calls_sent", stats_.calls_sent);
-    emit("replies_received", stats_.replies_received);
-    emit("requests_executed", stats_.requests_executed);
-    emit("retransmissions", stats_.retransmissions);
-    emit("call_failures", stats_.call_failures);
-    emit("stale_replies", stats_.stale_replies);
-    emit("timeouts", stats_.timeouts);
-    emit("deadline_giveups", stats_.deadline_giveups);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

@@ -37,20 +37,9 @@ class SunSelectProtocol : public Protocol {
   void SessionError(Session& lls, Status error) override;
 
   struct Stats {
-    uint64_t calls = 0;
-    uint64_t returns = 0;
-    uint64_t served = 0;
     uint64_t prog_unavail = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("calls", stats_.calls);
-    emit("returns", stats_.returns);
-    emit("served", stats_.served);
-    emit("prog_unavail", stats_.prog_unavail);
-  }
 
  protected:
   // Open: peer.host + prog/vers/proc packed into peer.command (proc) and

@@ -146,8 +146,6 @@ class EthernetSegment {
   uint64_t fault_drops() const { return fault_drops_; }
   uint64_t fault_duplicates() const { return fault_duplicates_; }
   uint64_t fault_corruptions() const { return fault_corruptions_; }
-  // Deliveries the extended hook delayed (counted once per delayed copy).
-  uint64_t fault_delays() const { return fault_delays_; }
   // Frames that arrived at a detached station (receiver host was down).
   // Not part of frames_dropped(): the wire delivered them; the NIC was gone.
   uint64_t down_drops() const { return down_drops_; }
@@ -219,7 +217,6 @@ class EthernetSegment {
   uint64_t fault_drops_ = 0;
   uint64_t fault_duplicates_ = 0;
   uint64_t fault_corruptions_ = 0;
-  uint64_t fault_delays_ = 0;
   uint64_t down_drops_ = 0;
   SimTime bus_busy_time_ = 0;
 

@@ -1,4 +1,4 @@
-// Small JSON-emission helpers shared by the trace/pcap/counters writers.
+// Small JSON-emission helpers shared by the trace/pcap/stats writers.
 // Emission only -- the reader side lives in src/tools/trace_reader.h.
 
 #ifndef XK_SRC_TRACE_JSON_UTIL_H_
@@ -48,31 +48,23 @@ inline void JsonAppendInt(std::string& out, Int value) {
   out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
-inline void JsonAppendField(std::string& out, std::string_view key, int64_t value,
-                            bool first = false) {
-  if (!first) {
-    out += ',';
-  }
+// Appends `,"key":value`.
+inline void JsonAppendField(std::string& out, std::string_view key, int64_t value) {
+  out += ',';
   JsonAppendEscaped(out, key);
   out += ':';
   JsonAppendInt(out, value);
 }
 
-inline void JsonAppendField(std::string& out, std::string_view key, uint64_t value,
-                            bool first = false) {
-  if (!first) {
-    out += ',';
-  }
+inline void JsonAppendField(std::string& out, std::string_view key, uint64_t value) {
+  out += ',';
   JsonAppendEscaped(out, key);
   out += ':';
   JsonAppendInt(out, value);
 }
 
-inline void JsonAppendField(std::string& out, std::string_view key, std::string_view value,
-                            bool first = false) {
-  if (!first) {
-    out += ',';
-  }
+inline void JsonAppendField(std::string& out, std::string_view key, std::string_view value) {
+  out += ',';
   JsonAppendEscaped(out, key);
   out += ':';
   JsonAppendEscaped(out, value);

@@ -189,7 +189,6 @@ TEST(WireModelTest, TransmitTimeAt10Mbps) {
 struct BatchDiffArtifacts {
   std::string trace_jsonl;
   std::string pcap_jsonl;
-  std::string counters_json;
   uint64_t events_fired = 0;
   SimTime sum_done_at = 0;
   int completed = 0;
@@ -298,7 +297,6 @@ BatchDiffArtifacts RunBatchDiffScenario(uint64_t seed, bool batched) {
     out.failed = r.failed;
     out.sum_done_at = r.sum_done_at;
     out.events_fired = net->events_fired();
-    out.counters_json = net->CountersJson();
   }
 
   TraceSink::set_thread_default(nullptr);
@@ -318,7 +316,6 @@ TEST(BatchedDeliveryTest, RandomizedDifferentialBatchedVsUnbatched) {
     EXPECT_EQ(with.failed, without.failed);
     EXPECT_EQ(with.sum_done_at, without.sum_done_at);
     EXPECT_EQ(with.events_fired, without.events_fired);
-    EXPECT_EQ(with.counters_json, without.counters_json);
     EXPECT_EQ(with.trace_jsonl, without.trace_jsonl);
     EXPECT_EQ(with.pcap_jsonl, without.pcap_jsonl);
   }

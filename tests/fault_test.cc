@@ -19,6 +19,7 @@
 #include "src/app/workload.h"
 #include "src/proto/topology.h"
 #include "src/proto/udp.h"
+#include "src/trace/trace.h"
 #include "tests/rpc_util.h"
 
 namespace xk {
@@ -164,9 +165,12 @@ TEST(FaultPlanTest, ParseRejectsGarbageSegment) {
 
 // --- determinism --------------------------------------------------------------
 
-// Runs a fixed echo workload and returns (CountersJson, events_fired).
+// Runs a fixed echo workload and returns (trace JSONL, events_fired). The
+// trace holds every layer crossing with its simulated time and charged cost.
 std::pair<std::string, uint64_t> RunEchoWorkload(const FaultPlan* plan) {
+  TraceSink sink;
   RpcFixture fix;
+  fix.net->AttachTrace(&sink);
   fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
   std::optional<FaultEngine> engine;
   if (plan != nullptr) {
@@ -176,13 +180,14 @@ std::pair<std::string, uint64_t> RunEchoWorkload(const FaultPlan* plan) {
     Result<Message> r = fix.CallSync(1, Message::FromBytes(PatternBytes(256, uint8_t(i))));
     EXPECT_TRUE(r.ok()) << "call " << i;
   }
-  return {fix.net->CountersJson(), fix.net->events_fired()};
+  return {sink.ToJsonl(), fix.net->events_fired()};
 }
 
 TEST(FaultEngineTest, WindowOutsideTheWorkloadPerturbsNothing) {
   // The engine consults its RNG only while a clause's window is active, so a
   // fault window scheduled long after the workload ends must leave the run
-  // bit-identical to a fault-free one -- counters and event counts included.
+  // bit-identical to a fault-free one -- every traced crossing and the event
+  // count included.
   const auto baseline = RunEchoWorkload(nullptr);
 
   FaultPlan inert;
@@ -386,7 +391,7 @@ TEST(FaultEngineTest, CorruptedFramesNeverReachTheAnchorUndetected) {
     }
     // Every frame was either delivered (payload intact) or counted as a drop.
     const uint64_t captured = capture->payloads.size();
-    const uint64_t eth_drops = sh.eth->counters().demux_drops;
+    const uint64_t eth_drops = sh.eth->demux_drops();
     EXPECT_EQ(captured + eth_drops, kSends);
 
     const uint64_t corrupted = net->segment(0).fault_corruptions();
@@ -396,7 +401,7 @@ TEST(FaultEngineTest, CorruptedFramesNeverReachTheAnchorUndetected) {
     total_udp_bad += sudp->checksum_failures();
     // Drops the Ethernet layer itself decided (corrupted dst address or
     // EtherType), as opposed to cascaded IP/UDP rejections.
-    total_eth_direct += eth_drops - sh.ip->counters().demux_drops;
+    total_eth_direct += eth_drops - sh.ip->demux_drops();
   }
   // Across the seeds, every detection layer fired at least once.
   EXPECT_GT(total_corrupted, 100u);

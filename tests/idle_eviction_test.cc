@@ -203,17 +203,8 @@ TEST_F(IdleEvictionFixture, CountersAndGaugesExportEvictionState) {
   EXPECT_TRUE(SetIdleTimeout(*cudp, Msec(5)).ok());
   net->RunAll();
 
-  uint64_t ctr_evicted = UINT64_MAX;
-  uint64_t ctr_declined = UINT64_MAX;
-  cudp->ExportCounters([&](std::string_view name, uint64_t v) {
-    if (name == "idle_evictions") {
-      ctr_evicted = v;
-    } else if (name == "idle_declined") {
-      ctr_declined = v;
-    }
-  });
-  EXPECT_EQ(ctr_evicted, 3u);
-  EXPECT_EQ(ctr_declined, 0u);
+  EXPECT_EQ(cudp->idle_evictions(), 3u);
+  EXPECT_EQ(cudp->idle_declined(), 0u);
   cudp->ExportGauges([&](std::string_view name, uint64_t v) {
     if (name == "live_sessions") {
       gauge_live = v;

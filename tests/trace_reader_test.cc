@@ -648,14 +648,14 @@ TEST(TraceWriter, RecordsRoundTripThroughToJsonl) {
 
 TEST(TraceWriter, IntegerFieldsAtTheLimits) {
   std::string out;
-  JsonAppendField(out, "a", INT64_MIN, /*first=*/true);
+  JsonAppendField(out, "a", INT64_MIN);
   JsonAppendField(out, "b", INT64_MAX);
   JsonAppendField(out, "c", UINT64_MAX);
   JsonAppendField(out, "d", int64_t{0});
   JsonAppendField(out, "e", uint64_t{0});
   JsonAppendField(out, "f", int64_t{-1});
   EXPECT_EQ(out,
-            "\"a\":-9223372036854775808,\"b\":9223372036854775807,"
+            ",\"a\":-9223372036854775808,\"b\":9223372036854775807,"
             "\"c\":18446744073709551615,\"d\":0,\"e\":0,\"f\":-1");
 }
 
@@ -669,8 +669,8 @@ TEST(TraceWriter, EscapesControlBytesOnly) {
   JsonAppendEscaped(out, "");
   EXPECT_EQ(out, "\"\"");
   out.clear();
-  JsonAppendField(out, "k\"ey", std::string_view("plain"), /*first=*/true);
-  EXPECT_EQ(out, "\"k\\\"ey\":\"plain\"");
+  JsonAppendField(out, "k\"ey", std::string_view("plain"));
+  EXPECT_EQ(out, ",\"k\\\"ey\":\"plain\"");
 }
 
 TEST(TraceWriter, ToJsonlBytesArePinned) {
